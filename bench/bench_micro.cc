@@ -292,7 +292,7 @@ VerticalRow MeasureVertical(std::size_t bits, std::size_t r, std::size_t n) {
   const BinaryCode query = MakeUniformWithNeighbors(n, bits, &codes);
   auto store = kernels::CodeStore::FromCodes(codes).ValueOrDie();
   kernels::VerticalCodeStore vstore;
-  store.TransposeInto(&vstore);
+  vstore.AssignTransposed(store);
 
   VerticalRow row;
   row.bits = bits;
@@ -405,14 +405,12 @@ int EmitJson(const std::string& path) {
   }
   std::fprintf(f, "{\n  \"backend\": \"%s\",\n",
                kernels::BackendName(kernels::ActiveBackend()));
-  // Which kernel tiers this binary compiled in and this CPU can run,
-  // plus the layout policy in force — the context every number below
-  // must be read against.
+  // Which kernel tiers this binary compiled in and this CPU can run —
+  // the context every number below must be read against.
   std::fprintf(f,
                "  \"kernel_tiers\": {"
                "\"avx2_compiled\": %s, \"avx2_supported\": %s, "
-               "\"avx512_compiled\": %s, \"avx512_supported\": %s, "
-               "\"layout_policy\": \"%s\"},\n",
+               "\"avx512_compiled\": %s, \"avx512_supported\": %s},\n",
 #if defined(HAMMING_HAVE_AVX2_TU)
                "true",
 #else
@@ -424,8 +422,7 @@ int EmitJson(const std::string& path) {
 #else
                "false",
 #endif
-               kernels::Avx512Supported() ? "true" : "false",
-               kernels::LayoutPolicyName(kernels::ActiveLayoutPolicy()));
+               kernels::Avx512Supported() ? "true" : "false");
   std::fprintf(f, "  \"kernels\": [\n");
   const std::size_t kBits[] = {64, 128, 225, 512};
   for (std::size_t i = 0; i < 4; ++i) {

@@ -1,5 +1,6 @@
 // Fuzz harness for the bit-plane vertical kernel path
-// (kernels/vertical_code_store.h + the vertical BatchWithinDistance).
+// (kernels/vertical_code_store.h + the vertical BatchWithinDistance) and
+// for kernels::CodeSet, which owns both layouts inside every index.
 //
 // The input chooses a code length, a threshold and a store's worth of
 // codes; the harness then
@@ -8,7 +9,11 @@
 //  2. runs the same threshold query through the horizontal and the
 //     vertical kernels and traps on any slot-set divergence,
 //  3. exercises the incremental maintenance path (Append / SwapRemove)
-//     and re-checks equivalence afterwards.
+//     and re-checks equivalence afterwards,
+//  4. runs the CodeSet upkeep the indexes run: fills a set to just
+//     around the plane copy's floor, churns fuzz-chosen appends and
+//     swap-removes across it, and checks the range entries against a
+//     scalar loop before and after.
 // Any disagreement between the layouts is a correctness bug by
 // definition — the vertical scan must be byte-identical to the
 // horizontal one for every (bits, h, n, tail) combination.
@@ -19,6 +24,7 @@
 
 #include "code/binary_code.h"
 #include "fuzz_targets.h"
+#include "kernels/code_set.h"
 #include "kernels/code_store.h"
 #include "kernels/hamming_kernels.h"
 #include "kernels/vertical_code_store.h"
@@ -28,7 +34,10 @@ namespace {
 
 using hamming::BinaryCode;
 using hamming::kernels::BatchWithinDistance;
+using hamming::kernels::CodeSet;
 using hamming::kernels::CodeStore;
+using hamming::kernels::SetAnswer;
+using hamming::kernels::SlotDistance;
 using hamming::kernels::VerticalCodeStore;
 using hamming::kernels::VerticalScanStats;
 
@@ -91,6 +100,31 @@ void CheckEquivalence(const BinaryCode& query, const CodeStore& store,
   HAMMING_FUZZ_CHECK(count == vertical.size());
 }
 
+// The set holds exactly `model`, its plane copy exists iff it reached
+// the floor since its last Reset and mirrors the words, and both range
+// entries agree with a scalar loop.
+void CheckCodeSet(const std::vector<BinaryCode>& model, const CodeSet& set,
+                  bool reached_floor, const BinaryCode& query,
+                  std::size_t h) {
+  HAMMING_FUZZ_CHECK(set.size() == model.size());
+  const auto* planes = set.planes();
+  HAMMING_FUZZ_CHECK((planes != nullptr) == reached_floor);
+  HAMMING_FUZZ_CHECK(planes == nullptr || planes->IsTransposeOf(set.words()));
+  std::vector<SlotDistance> want;
+  for (std::size_t i = 0; i < model.size(); ++i) {
+    const auto d = static_cast<uint32_t>(model[i].Distance(query));
+    if (d <= h) want.push_back({static_cast<uint32_t>(i), d});
+  }
+  std::vector<SlotDistance> single;
+  HAMMING_FUZZ_CHECK(set.WithinDistance(query, h, &single).ok());
+  HAMMING_FUZZ_CHECK(single == want);
+  const BinaryCode* queries[] = {&query};
+  std::vector<SetAnswer> multi;
+  set.MultiWithinDistance(queries, &h, 1, &multi);
+  HAMMING_FUZZ_CHECK(multi.size() == 1 && multi[0].status.ok());
+  HAMMING_FUZZ_CHECK(multi[0].hits == want);
+}
+
 }  // namespace
 
 void RunVerticalFuzzInput(const uint8_t* data, std::size_t size) {
@@ -122,7 +156,7 @@ void RunVerticalFuzzInput(const uint8_t* data, std::size_t size) {
   // Differential round trip: bulk transpose == incremental appends, and
   // both reproduce every lane of the horizontal store.
   VerticalCodeStore bulk;
-  store.TransposeInto(&bulk);
+  bulk.AssignTransposed(store);
   HAMMING_FUZZ_CHECK(bulk.IsTransposeOf(store));
   HAMMING_FUZZ_CHECK(incremental.IsTransposeOf(store));
   for (std::size_t i = 0; i < n; i += 97) {
@@ -143,6 +177,34 @@ void RunVerticalFuzzInput(const uint8_t* data, std::size_t size) {
     HAMMING_FUZZ_CHECK(bulk.IsTransposeOf(store));
     CheckEquivalence(query, store, bulk, h);
   }
+  if (n == 0) return;
+
+  // CodeSet upkeep: fill to within 8 codes of the floor, then churn 16
+  // fuzz-chosen steps, which can cross it in either direction.
+  constexpr std::size_t kFloor = hamming::kernels::kVerticalMinCodes;
+  std::vector<BinaryCode> model;
+  CodeSet set(bits);
+  const std::size_t fill = kFloor - 8 + data[3] % 16;
+  for (std::size_t i = 0; i < fill; ++i) {
+    model.push_back(store.Get(i % store.size()));
+    HAMMING_FUZZ_CHECK(set.Append(model.back()).ok());
+  }
+  bool reached_floor = fill >= kFloor;
+  CheckCodeSet(model, set, reached_floor, query, h);
+  for (std::size_t op = 0; op < 16; ++op) {
+    if (source.NextBit()) {
+      model.push_back(source.NextCode(bits));
+      HAMMING_FUZZ_CHECK(set.Append(model.back()).ok());
+    } else {
+      const std::size_t victim =
+          (data[3] * 131 + op * 977 + size) % model.size();
+      set.SwapRemove(victim);
+      model[victim] = model.back();
+      model.pop_back();
+    }
+    reached_floor = reached_floor || model.size() >= kFloor;
+  }
+  CheckCodeSet(model, set, reached_floor, query, h);
 }
 
 }  // namespace hamming_fuzz

@@ -55,7 +55,8 @@
 # their seed corpora plus a fixed number of deterministic mutations;
 # same inputs every run, so it is a gate, not a campaign. fuzz_vertical
 # differentially checks the bit-plane vertical kernels against the
-# horizontal layout.
+# horizontal layout, and the CodeSet upkeep (fill, churn across the
+# plane copy's floor, range entries) against a scalar loop.
 #
 # The ubsan stage builds with -fsanitize=undefined alone (build-ubsan/,
 # HAMMING_UBSAN=ON, trap-on-first-report) and runs the FULL ctest
@@ -236,7 +237,7 @@ else
     >/dev/null
   cmake --build build-asan -j --target hamming_tests
   ./build-asan/tests/hamming_tests \
-    --gtest_filter='CodeStore.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*'
+    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:DynamicHAAudit.*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-asan/tests/hamming_tests \
     --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'
@@ -250,7 +251,7 @@ else
     >/dev/null
   cmake --build build-tsan -j --target hamming_tests
   ./build-tsan/tests/hamming_tests --gtest_filter=\
-'MapReduce*:FaultTolerance*:PlanFaultTolerance*:CancelToken*:ThreadPool*:Concurrency*:Metrics*:TraceJson*:VerticalStore*:Kernels.VerticalScanSharedAcrossThreads:Serving*:ConcurrentIndex*:ChurnStress*:DynamicHAAudit*:Telemetry*'
+'MapReduce*:FaultTolerance*:PlanFaultTolerance*:CancelToken*:ThreadPool*:Concurrency*:Metrics*:TraceJson*:VerticalStore*:Kernels.VerticalScanSharedAcrossThreads:CodeSet.*:Serving*:ConcurrentIndex*:ChurnStress*:DynamicHAAudit*:Telemetry*'
   echo "==> TSan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-tsan/tests/hamming_tests --gtest_filter=\
 'MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "kernels/hamming_kernels.h"
 #include "observability/request_trace.h"
 
 namespace hamming {
@@ -37,16 +36,19 @@ ConcurrentHAIndex::Snapshot::SearchWithDistances(const BinaryCode& query,
     }
     out.resize(kept);
   }
-  std::vector<uint32_t> dists;
-  kernels::BatchDistance(query, insert_store_, &dists);
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    if (dists[i] <= h) out.emplace_back(inserts_[i].first, dists[i]);
+  std::vector<kernels::SlotDistance> hits;
+  kernels::VerticalScanStats planes;
+  HAMMING_RETURN_NOT_OK(inserts_.WithinDistance(query, h, &hits, &planes));
+  for (const auto& hit : hits) {
+    out.emplace_back(insert_ids_[hit.slot], hit.dist);
   }
   if (stats != nullptr) {
     ++stats->kernel_batch_calls;
-    stats->candidates_generated += inserts_.size();
-    stats->exact_distance_computations += inserts_.size();
+    stats->candidates_generated += insert_ids_.size();
+    stats->exact_distance_computations += insert_ids_.size();
     stats->results += out.size();
+    stats->planes_scanned += planes.planes_scanned;
+    stats->blocks_pruned += planes.blocks_pruned;
   }
   return out;
 }
@@ -78,13 +80,10 @@ Status ConcurrentHAIndex::Snapshot::SearchBatch(
 
 MemoryBreakdown ConcurrentHAIndex::Snapshot::Memory() const {
   MemoryBreakdown mb = base_->Memory();
-  // The delta payload is leaf-level (stored codes and their kernel
-  // mirrors); tombstones are internal structure.
-  for (const auto& [id, code] : inserts_) {
-    mb.leaf_bytes += sizeof(TupleId) + code.PackedBytes();
-  }
+  // The delta payload is leaf-level (its ids and every layout of its
+  // codes); tombstones are internal structure.
   mb.leaf_bytes +=
-      insert_store_.BufferBytes() + insert_vstore_.BufferBytes();
+      insert_ids_.size() * sizeof(TupleId) + inserts_.BufferBytes();
   mb.internal_bytes += tombstones_.size() * sizeof(TupleId);
   return mb;
 }
@@ -101,7 +100,9 @@ ConcurrentHAIndex::Snapshot::ExportTuples() const {
     }
     out.resize(kept);
   }
-  out.insert(out.end(), inserts_.begin(), inserts_.end());
+  for (std::size_t i = 0; i < insert_ids_.size(); ++i) {
+    out.emplace_back(insert_ids_[i], inserts_.Get(i));
+  }
   return out;
 }
 
@@ -148,9 +149,9 @@ Status ConcurrentHAIndex::BuildWithIds(const std::vector<TupleId>& ids,
   HAMMING_RETURN_NOT_OK(base->BuildWithIds(ids, codes));
   base_ = std::move(base);
   live_ = std::move(live);
-  delta_inserts_.clear();
+  delta_ids_.clear();
+  delta_codes_.Reset(codes.empty() ? 0 : codes.front().size());
   tombstones_.clear();
-  code_bits_ = codes.empty() ? 0 : codes.front().size();
   pending_ = 0;
   return PublishLocked();
 }
@@ -168,16 +169,16 @@ Status ConcurrentHAIndex::Delete(TupleId id, const BinaryCode& code) {
 }
 
 Status ConcurrentHAIndex::InsertLocked(TupleId id, const BinaryCode& code) {
-  if (code_bits_ == 0) code_bits_ = code.size();
-  if (code.size() != code_bits_) {
-    return Status::InvalidArgument("code length mismatch");
-  }
-  if (!live_.emplace(id, code).second) {
+  if (live_.count(id) != 0) {
     return Status::InvalidArgument("duplicate tuple id in Insert");
   }
-  // If the id was deleted from the base earlier its tombstone stays:
-  // it keeps hiding the base copy while the delta carries the new one.
-  delta_inserts_.emplace_back(id, code);
+  // The delta set refuses a code of the wrong width before any state
+  // changes. If the id was deleted from the base earlier its tombstone
+  // stays: it keeps hiding the base copy while the delta carries the
+  // new one.
+  HAMMING_RETURN_NOT_OK(delta_codes_.Append(code));
+  delta_ids_.push_back(id);
+  live_.emplace(id, code);
   return Status::OK();
 }
 
@@ -189,12 +190,11 @@ Status ConcurrentHAIndex::DeleteLocked(TupleId id, const BinaryCode& code) {
   live_.erase(it);
   // A delta-resident insert is simply dropped; only base-resident
   // tuples need a tombstone.
-  auto di = std::find_if(
-      delta_inserts_.begin(), delta_inserts_.end(),
-      [id](const std::pair<TupleId, BinaryCode>& p) { return p.first == id; });
-  if (di != delta_inserts_.end()) {
-    *di = std::move(delta_inserts_.back());
-    delta_inserts_.pop_back();
+  auto di = std::find(delta_ids_.begin(), delta_ids_.end(), id);
+  if (di != delta_ids_.end()) {
+    delta_codes_.SwapRemove(static_cast<std::size_t>(di - delta_ids_.begin()));
+    *di = delta_ids_.back();
+    delta_ids_.pop_back();
   } else {
     tombstones_.insert(id);
   }
@@ -202,7 +202,7 @@ Status ConcurrentHAIndex::DeleteLocked(TupleId id, const BinaryCode& code) {
 }
 
 Status ConcurrentHAIndex::CommitMutationLocked() {
-  if (delta_inserts_.size() + tombstones_.size() >= opts_.rebuild_threshold) {
+  if (delta_ids_.size() + tombstones_.size() >= opts_.rebuild_threshold) {
     HAMMING_RETURN_NOT_OK(RebuildBaseLocked());
     pending_ = 0;
     return PublishLocked();
@@ -228,7 +228,8 @@ Status ConcurrentHAIndex::RebuildBaseLocked() {
   auto base = std::make_shared<DynamicHAIndex>(opts_.base);
   HAMMING_RETURN_NOT_OK(base->BuildWithIds(ids, codes));
   base_ = std::move(base);
-  delta_inserts_.clear();
+  delta_ids_.clear();
+  delta_codes_.Reset(delta_codes_.bits());
   tombstones_.clear();
   ++rebuilds_;
   return Status::OK();
@@ -237,12 +238,8 @@ Status ConcurrentHAIndex::RebuildBaseLocked() {
 Status ConcurrentHAIndex::PublishLocked() {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->base_ = base_;
-  snap->inserts_ = delta_inserts_;
-  snap->insert_store_.Reset(code_bits_);
-  for (const auto& [id, code] : delta_inserts_) {
-    HAMMING_RETURN_NOT_OK(snap->insert_store_.Append(code));
-  }
-  snap->insert_vstore_.AssignTransposed(snap->insert_store_);
+  snap->insert_ids_ = delta_ids_;
+  snap->inserts_ = delta_codes_;
   snap->tombstones_ = tombstones_;
   snap->size_ = live_.size();
   snap->epoch_ = next_epoch_++;

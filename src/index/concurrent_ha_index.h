@@ -7,9 +7,9 @@
 // with an epoch/snapshot scheme (src/index/epoch.h):
 //
 //   * Mutators serialize on write_mu_ and build into a private delta —
-//     the same shape as DynamicHA's own insert buffer: a vector of
-//     buffered inserts mirrored in word-stride and bit-plane stores,
-//     plus a tombstone id set for deletes against the frozen base.
+//     the same shape as DynamicHA's own insert buffer: the buffered
+//     insert ids plus one kernels::CodeSet of their codes, plus a
+//     tombstone id set for deletes against the frozen base.
 //   * Publish() freezes (base, delta, tombstones) into an immutable
 //     Snapshot and swaps it in through the EpochPublisher. By default
 //     every mutation publishes (publish_threshold = 1), so readers are
@@ -43,8 +43,7 @@
 #include "index/dynamic_ha_index.h"
 #include "index/epoch.h"
 #include "index/hamming_index.h"
-#include "kernels/code_store.h"
-#include "kernels/vertical_code_store.h"
+#include "kernels/code_set.h"
 
 namespace hamming {
 
@@ -117,7 +116,7 @@ class ConcurrentHAIndex final : public HammingIndex {
 
     /// \brief The epoch number this snapshot was published under.
     uint64_t epoch() const { return epoch_; }
-    std::size_t delta_inserts() const { return inserts_.size(); }
+    std::size_t delta_inserts() const { return insert_ids_.size(); }
     std::size_t delta_tombstones() const { return tombstones_.size(); }
 
     /// \brief The frozen corpus as (id, code) pairs (order unspecified).
@@ -130,9 +129,9 @@ class ConcurrentHAIndex final : public HammingIndex {
     Snapshot() = default;
 
     std::shared_ptr<const DynamicHAIndex> base_;
-    std::vector<std::pair<TupleId, BinaryCode>> inserts_;
-    kernels::CodeStore insert_store_;
-    kernels::VerticalCodeStore insert_vstore_;
+    // Delta insert i is tuple insert_ids_[i] with code inserts_.Get(i).
+    std::vector<TupleId> insert_ids_;
+    kernels::CodeSet inserts_;
     std::unordered_set<TupleId> tombstones_;
     std::size_t size_ = 0;
     uint64_t epoch_ = 0;
@@ -212,10 +211,11 @@ class ConcurrentHAIndex final : public HammingIndex {
   // (id -> code): O(1) duplicate/missing checks and the rebuild source.
   std::shared_ptr<const DynamicHAIndex> base_ HAMMING_GUARDED_BY(write_mu_);
   std::unordered_map<TupleId, BinaryCode> live_ HAMMING_GUARDED_BY(write_mu_);
-  std::vector<std::pair<TupleId, BinaryCode>> delta_inserts_
-      HAMMING_GUARDED_BY(write_mu_);
+  // Pending insert i is tuple delta_ids_[i] with code delta_codes_.Get(i);
+  // the set also fixes the index's code width.
+  std::vector<TupleId> delta_ids_ HAMMING_GUARDED_BY(write_mu_);
+  kernels::CodeSet delta_codes_ HAMMING_GUARDED_BY(write_mu_);
   std::unordered_set<TupleId> tombstones_ HAMMING_GUARDED_BY(write_mu_);
-  std::size_t code_bits_ HAMMING_GUARDED_BY(write_mu_) = 0;
   std::size_t pending_ HAMMING_GUARDED_BY(write_mu_) = 0;
   uint64_t next_epoch_ HAMMING_GUARDED_BY(write_mu_) = 0;
   uint64_t rebuilds_ HAMMING_GUARDED_BY(write_mu_) = 0;

@@ -28,11 +28,11 @@ Status DynamicHAIndex::BuildWithIds(const std::vector<TupleId>& ids,
   }
   nodes_.clear();
   roots_.clear();
-  buffer_.clear();
-  buffer_store_.Clear();
-  buffer_vstore_.Clear();
   num_tuples_ = 0;
   code_bits_ = codes.empty() ? 0 : codes[0].size();
+  // The buffer takes the new width too: a rebuild may change it.
+  buffer_ids_.clear();
+  buffer_codes_.Reset(code_bits_);
 
   // Group duplicate codes; each distinct code becomes one leaf whose hash
   // table maps it to all tuple ids carrying it (Section 4.5).
@@ -161,24 +161,25 @@ Status DynamicHAIndex::Insert(TupleId id, const BinaryCode& code) {
   if (code.size() != code_bits_) {
     return Status::InvalidArgument("code length mismatch");
   }
-  buffer_.emplace_back(id, code);
-  HAMMING_RETURN_NOT_OK(buffer_store_.Append(code));
-  HAMMING_RETURN_NOT_OK(buffer_vstore_.Append(code));
+  // The code goes in before its id, so a refused append changes nothing.
+  HAMMING_RETURN_NOT_OK(buffer_codes_.Append(code));
+  buffer_ids_.push_back(id);
   ++num_tuples_;
-  if (buffer_.size() >= opts_.insert_flush_threshold) FlushBuffer();
+  if (buffer_ids_.size() >= opts_.insert_flush_threshold) FlushBuffer();
   return Status::OK();
 }
 
 void DynamicHAIndex::FlushBuffer() {
-  if (buffer_.empty()) return;
+  if (buffer_ids_.empty()) return;
   std::unordered_map<BinaryCode, std::vector<TupleId>, BinaryCodeHash> groups;
-  for (auto& [id, code] : buffer_) groups[code].push_back(id);
+  for (std::size_t i = 0; i < buffer_ids_.size(); ++i) {
+    groups[buffer_codes_.Get(i)].push_back(buffer_ids_[i]);
+  }
   std::vector<std::pair<BinaryCode, std::vector<TupleId>>> group_vec;
   group_vec.reserve(groups.size());
   for (auto& [code, ids] : groups) group_vec.emplace_back(code, std::move(ids));
-  buffer_.clear();
-  buffer_store_.Clear();
-  buffer_vstore_.Clear();
+  buffer_ids_.clear();
+  buffer_codes_.Reset(code_bits_);
   BuildForest(std::move(group_vec));
 }
 
@@ -213,12 +214,11 @@ Status DynamicHAIndex::Delete(TupleId id, const BinaryCode& code) {
         "Delete requires tuple ids; this index is leafless (Option B)");
   }
   // The insert buffer is checked first.
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    if (buffer_[i].first == id && buffer_[i].second == code) {
-      buffer_[i] = buffer_.back();
-      buffer_.pop_back();
-      buffer_store_.SwapRemove(i);
-      buffer_vstore_.SwapRemove(i);
+  for (std::size_t i = 0; i < buffer_ids_.size(); ++i) {
+    if (buffer_ids_[i] == id && buffer_codes_.Matches(i, code)) {
+      buffer_ids_[i] = buffer_ids_.back();
+      buffer_ids_.pop_back();
+      buffer_codes_.SwapRemove(i);
       --num_tuples_;
       return Status::OK();
     }
@@ -249,6 +249,16 @@ Status DynamicHAIndex::Delete(TupleId id, const BinaryCode& code) {
 
 Result<std::vector<TupleId>> DynamicHAIndex::Search(
     const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
+  HAMMING_ASSIGN_OR_RETURN(auto pairs, SearchWithDistances(query, h, stats));
+  std::vector<TupleId> out;
+  out.reserve(pairs.size());
+  for (const auto& [id, dist] : pairs) out.push_back(id);
+  return out;
+}
+
+Result<std::vector<std::pair<TupleId, uint32_t>>>
+DynamicHAIndex::SearchWithDistances(const BinaryCode& query, std::size_t h,
+                                    obs::QueryStats* stats) const {
   if (!opts_.store_tuple_ids) {
     return Status::NotImplemented(
         "Search requires tuple ids; use SearchCodes on a leafless index");
@@ -256,7 +266,7 @@ Result<std::vector<TupleId>> DynamicHAIndex::Search(
   if (code_bits_ != 0 && query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
-  std::vector<TupleId> out;
+  std::vector<std::pair<TupleId, uint32_t>> out;
   // Algorithm 3: breadth-first expansion with accumulated distance. The
   // queue is a flat vector with a moving head (cheaper than std::deque
   // on this hot path).
@@ -273,59 +283,6 @@ Result<std::vector<TupleId>> DynamicHAIndex::Search(
     if (n.is_leaf) {
       // Residual masks along the path partition all L bits, so acc is the
       // exact Hamming distance — qualified tuples are collected directly.
-      out.insert(out.end(), n.tuple_ids.begin(), n.tuple_ids.end());
-      if (stats != nullptr) {
-        stats->candidates_generated += n.tuple_ids.size();
-      }
-      continue;
-    }
-    for (uint32_t c : n.children) {
-      if (stats != nullptr) ++stats->signatures_enumerated;
-      std::size_t d = acc + nodes_[c].residual.PartialDistance(query);
-      if (d <= h) queue.emplace_back(c, static_cast<uint32_t>(d));
-    }
-  }
-  // The insert buffer (bounded by the flush threshold) is scanned with
-  // one batched kernel pass; the layout dispatch picks the bit-plane
-  // mirror when the buffer is large and the radius selective.
-  std::vector<uint32_t> slots;
-  kernels::VerticalScanStats vstats;
-  kernels::BatchWithinDistanceDual(query, buffer_store_, &buffer_vstore_, h,
-                                   &slots, &vstats);
-  for (uint32_t slot : slots) out.push_back(buffer_[slot].first);
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += buffer_.size();
-    stats->exact_distance_computations += buffer_.size();
-    stats->results += out.size();
-    stats->planes_scanned += vstats.planes_scanned;
-    stats->blocks_pruned += vstats.blocks_pruned;
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-DynamicHAIndex::SearchWithDistances(const BinaryCode& query, std::size_t h,
-                                    obs::QueryStats* stats) const {
-  if (!opts_.store_tuple_ids) {
-    return Status::NotImplemented(
-        "SearchWithDistances requires tuple ids (leafful index)");
-  }
-  if (code_bits_ != 0 && query.size() != code_bits_) {
-    return Status::InvalidArgument("query length mismatch");
-  }
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  std::vector<std::pair<uint32_t, uint32_t>> queue;
-  queue.reserve(64);
-  for (uint32_t r : roots_) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
-    std::size_t d = nodes_[r].residual.PartialDistance(query);
-    if (d <= h) queue.emplace_back(r, static_cast<uint32_t>(d));
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    auto [cur, acc] = queue[head];
-    const Node& n = nodes_[cur];
-    if (n.is_leaf) {
       for (TupleId id : n.tuple_ids) out.emplace_back(id, acc);
       if (stats != nullptr) {
         stats->candidates_generated += n.tuple_ids.size();
@@ -338,16 +295,21 @@ DynamicHAIndex::SearchWithDistances(const BinaryCode& query, std::size_t h,
       if (d <= h) queue.emplace_back(c, static_cast<uint32_t>(d));
     }
   }
-  std::vector<uint32_t> dists;
-  kernels::BatchDistance(query, buffer_store_, &dists);
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    if (dists[i] <= h) out.emplace_back(buffer_[i].first, dists[i]);
+  // The insert buffer (bounded by the flush threshold) is scanned with
+  // one CodeSet range call.
+  std::vector<kernels::SlotDistance> hits;
+  kernels::VerticalScanStats planes;
+  HAMMING_RETURN_NOT_OK(buffer_codes_.WithinDistance(query, h, &hits, &planes));
+  for (const auto& hit : hits) {
+    out.emplace_back(buffer_ids_[hit.slot], hit.dist);
   }
   if (stats != nullptr) {
     ++stats->kernel_batch_calls;
-    stats->candidates_generated += buffer_.size();
-    stats->exact_distance_computations += buffer_.size();
+    stats->candidates_generated += buffer_ids_.size();
+    stats->exact_distance_computations += buffer_ids_.size();
     stats->results += out.size();
+    stats->planes_scanned += planes.planes_scanned;
+    stats->blocks_pruned += planes.blocks_pruned;
   }
   return out;
 }
@@ -404,14 +366,13 @@ Result<std::vector<BinaryCode>> DynamicHAIndex::SearchCodes(
       if (d <= h) queue.emplace_back(c, static_cast<uint32_t>(d));
     }
   }
-  std::vector<uint32_t> slots;
-  kernels::BatchWithinDistanceDual(query, buffer_store_, &buffer_vstore_, h,
-                                   &slots);
-  for (uint32_t slot : slots) out.push_back(buffer_[slot].second);
+  std::vector<kernels::SlotDistance> hits;
+  HAMMING_RETURN_NOT_OK(buffer_codes_.WithinDistance(query, h, &hits));
+  for (const auto& hit : hits) out.push_back(buffer_codes_.Get(hit.slot));
   if (stats != nullptr) {
     ++stats->kernel_batch_calls;
-    stats->candidates_generated += buffer_.size();
-    stats->exact_distance_computations += buffer_.size();
+    stats->candidates_generated += buffer_ids_.size();
+    stats->exact_distance_computations += buffer_ids_.size();
     stats->results += out.size();
   }
   return out;
@@ -489,22 +450,24 @@ Result<std::vector<JoinPair>> DynamicHAIndex::JoinWith(
 
   // Buffered inserts on this side probe the other index through one
   // coalesced batch (bounded by the flush threshold).
-  if (!buffer_.empty()) {
+  if (!buffer_ids_.empty()) {
     std::vector<QueryRequest> reqs;
-    reqs.reserve(buffer_.size());
-    for (const auto& [rid, rcode] : buffer_) {
-      reqs.push_back(QueryRequest::Range(rcode, h));
+    reqs.reserve(buffer_ids_.size());
+    for (std::size_t i = 0; i < buffer_ids_.size(); ++i) {
+      reqs.push_back(QueryRequest::Range(buffer_codes_.Get(i), h));
     }
     std::vector<QueryResponse> resps(reqs.size());
     HAMMING_RETURN_NOT_OK(other.SearchBatch(reqs, resps));
     for (std::size_t i = 0; i < resps.size(); ++i) {
       HAMMING_RETURN_NOT_OK(resps[i].status);
       for (TupleId s : resps[i].ids) {
-        out.push_back({buffer_[i].first, s});
+        out.push_back({buffer_ids_[i], s});
       }
     }
   }
-  for (const auto& [sid, scode] : other.buffer_) {
+  for (std::size_t j = 0; j < other.buffer_ids_.size(); ++j) {
+    const TupleId sid = other.buffer_ids_[j];
+    const BinaryCode scode = other.buffer_codes_.Get(j);
     // Probe only the built part of this index (buffer x buffer pairs were
     // already covered above because other.Search scans other's buffer —
     // exclude them here by probing the forest directly).
@@ -568,24 +531,24 @@ std::vector<std::pair<TupleId, BinaryCode>> DynamicHAIndex::ExportTuples()
       for (uint32_t c : n.children) stack.push_back(c);
     }
   }
-  out.insert(out.end(), buffer_.begin(), buffer_.end());
+  for (std::size_t i = 0; i < buffer_ids_.size(); ++i) {
+    out.emplace_back(buffer_ids_[i], buffer_codes_.Get(i));
+  }
   return out;
 }
 
 Status DynamicHAIndex::CheckConsistency() const {
-  // Insert buffer and its kernel mirrors must agree slot-for-slot.
-  if (buffer_store_.size() != buffer_.size() ||
-      buffer_vstore_.size() != buffer_.size()) {
-    return Status::IndexError("buffer/mirror size mismatch");
+  // The buffer's ids and codes must agree slot for slot, at the index's
+  // width, with the bit-plane copy (when present) in step.
+  if (buffer_codes_.size() != buffer_ids_.size()) {
+    return Status::IndexError("buffer ids/codes size mismatch");
   }
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    if (!buffer_store_.Matches(i, buffer_[i].second)) {
-      return Status::IndexError("buffer_store_ slot diverged from buffer_");
-    }
+  if (!buffer_codes_.empty() && buffer_codes_.bits() != code_bits_) {
+    return Status::IndexError("buffer code width != index code width");
   }
-  if (!buffer_vstore_.IsTransposeOf(buffer_store_)) {
-    return Status::IndexError(
-        "buffer_vstore_ is not the transpose of buffer_store_");
+  const auto* planes = buffer_codes_.planes();
+  if (planes != nullptr && !planes->IsTransposeOf(buffer_codes_.words())) {
+    return Status::IndexError("buffer bit-plane copy diverged from its words");
   }
   // Forest frequencies: every live node's frequency is the number of
   // live tuples below it; leaves carry their id-table size.
@@ -614,7 +577,7 @@ Status DynamicHAIndex::CheckConsistency() const {
       }
     }
   }
-  if (leaf_tuples + buffer_.size() != num_tuples_) {
+  if (leaf_tuples + buffer_ids_.size() != num_tuples_) {
     return Status::IndexError("size() != leaf tuples + buffered inserts");
   }
   return Status::OK();
@@ -665,11 +628,9 @@ Status DynamicHAIndex::MergeFrom(const DynamicHAIndex& other) {
       if (!incoming.is_leaf) local_roots.emplace(incoming.residual, nr);
     }
   }
-  buffer_.insert(buffer_.end(), other.buffer_.begin(), other.buffer_.end());
-  for (const auto& [id, code] : other.buffer_) {
-    (void)id;
-    HAMMING_RETURN_NOT_OK(buffer_store_.Append(code));
-    HAMMING_RETURN_NOT_OK(buffer_vstore_.Append(code));
+  for (std::size_t i = 0; i < other.buffer_ids_.size(); ++i) {
+    HAMMING_RETURN_NOT_OK(buffer_codes_.Append(other.buffer_codes_.Get(i)));
+    buffer_ids_.push_back(other.buffer_ids_[i]);
   }
   num_tuples_ += other.num_tuples_;
   return Status::OK();
@@ -695,7 +656,7 @@ MemoryBreakdown DynamicHAIndex::Memory() const {
   // Leaves also hang off internal nodes; walk found them above. Buffered
   // inserts count as leaf payload.
   mb.leaf_bytes +=
-      buffer_.size() * (sizeof(TupleId) + (code_bits_ + 7) / 8);
+      buffer_ids_.size() * (sizeof(TupleId) + (code_bits_ + 7) / 8);
   return mb;
 }
 
@@ -733,10 +694,10 @@ void DynamicHAIndex::Serialize(BufferWriter* w) const {
   }
   w->PutVarint64(roots_.size());
   for (uint32_t r : roots_) w->PutVarint64(remap[r]);
-  w->PutVarint64(buffer_.size());
-  for (const auto& [id, code] : buffer_) {
-    w->PutVarint64(id);
-    code.Serialize(w);
+  w->PutVarint64(buffer_ids_.size());
+  for (std::size_t i = 0; i < buffer_ids_.size(); ++i) {
+    w->PutVarint64(buffer_ids_[i]);
+    buffer_codes_.Get(i).Serialize(w);
   }
 }
 
@@ -802,16 +763,17 @@ Result<DynamicHAIndex> DynamicHAIndex::Deserialize(BufferReader* r) {
   uint64_t nb;
   HAMMING_RETURN_NOT_OK(r->GetVarint64(&nb));
   if (nb > r->remaining()) return Status::IOError("corrupt buffer count");
-  idx.buffer_.resize(nb);
-  for (auto& [id, code] : idx.buffer_) {
+  idx.buffer_codes_.Reset(code_bits);
+  idx.buffer_ids_.reserve(nb);
+  for (uint64_t i = 0; i < nb; ++i) {
     uint64_t v;
     HAMMING_RETURN_NOT_OK(r->GetVarint64(&v));
-    id = static_cast<TupleId>(v);
+    BinaryCode code;
     HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(r, &code));
-    if (!idx.buffer_store_.Append(code).ok() ||
-        !idx.buffer_vstore_.Append(code).ok()) {
+    if (!idx.buffer_codes_.Append(code).ok()) {
       return Status::IOError("corrupt buffer code length");
     }
+    idx.buffer_ids_.push_back(static_cast<TupleId>(v));
   }
   // Structural validation: every reference must stay inside the node
   // array so a corrupt payload cannot crash later traversals.

@@ -31,8 +31,7 @@
 
 #include "code/masked_code.h"
 #include "index/hamming_index.h"
-#include "kernels/code_store.h"
-#include "kernels/vertical_code_store.h"
+#include "kernels/code_set.h"
 
 namespace hamming {
 
@@ -136,10 +135,10 @@ class DynamicHAIndex final : public HammingIndex {
   std::vector<std::pair<TupleId, BinaryCode>> ExportTuples() const;
 
   /// \brief Audits the SwapRemove-era cross-structure invariants after a
-  /// mutation stream: the insert buffer and both kernel mirrors agree
-  /// slot-for-slot (buffer_vstore_ is the exact transpose of
-  /// buffer_store_, which matches buffer_), every forest frequency
-  /// equals the live tuples below it, and size() equals leaves + buffer.
+  /// mutation stream: the insert buffer's ids and codes agree slot for
+  /// slot (and its bit-plane copy, when present, is the exact transpose
+  /// of its word lanes), every forest frequency equals the live tuples
+  /// below it, and size() equals leaves + buffer.
   /// Returns the first violated invariant; OK when consistent. Test and
   /// debug hook — walks the whole structure, not for hot paths.
   Status CheckConsistency() const;
@@ -186,15 +185,11 @@ class DynamicHAIndex final : public HammingIndex {
   std::size_t num_tuples_ = 0;
   std::vector<Node> nodes_;
   std::vector<uint32_t> roots_;
-  // Insert buffer (Section 4.5). buffer_store_ mirrors the buffered codes
-  // in word-stride form so the per-query buffer scan runs through the
-  // batched kernels instead of one WithinDistance call per code;
-  // buffer_vstore_ keeps the bit-plane transpose of the same slots so a
-  // selective search can take the vertical kernel when the buffer (its
-  // flush threshold permitting) grows large enough to amortize it.
-  std::vector<std::pair<TupleId, BinaryCode>> buffer_;
-  kernels::CodeStore buffer_store_;
-  kernels::VerticalCodeStore buffer_vstore_;
+  // Insert buffer (Section 4.5): slot i holds tuple buffer_ids_[i] with
+  // code buffer_codes_.Get(i), so the per-query buffer scan is one
+  // CodeSet range call instead of one WithinDistance call per code.
+  std::vector<TupleId> buffer_ids_;
+  kernels::CodeSet buffer_codes_;
 };
 
 }  // namespace hamming

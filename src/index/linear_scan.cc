@@ -1,12 +1,26 @@
 #include "index/linear_scan.h"
 
-#include "kernels/hamming_kernels.h"
-
 namespace hamming {
 
+namespace {
+
+// Every answer reads all n stored codes; the plane counters stay zero
+// when the word lanes answered.
+void RecordScan(std::size_t n, std::size_t results,
+                const kernels::VerticalScanStats& planes,
+                obs::QueryStats* stats) {
+  ++stats->kernel_batch_calls;
+  stats->candidates_generated += n;
+  stats->exact_distance_computations += n;
+  stats->results += results;
+  stats->planes_scanned += planes.planes_scanned;
+  stats->blocks_pruned += planes.blocks_pruned;
+}
+
+}  // namespace
+
 Status LinearScanIndex::Build(const std::vector<BinaryCode>& codes) {
-  HAMMING_ASSIGN_OR_RETURN(codes_, kernels::CodeStore::FromCodes(codes));
-  codes_.TransposeInto(&vcodes_);
+  HAMMING_ASSIGN_OR_RETURN(codes_, kernels::CodeSet::FromCodes(codes));
   ids_.resize(codes.size());
   for (std::size_t i = 0; i < codes.size(); ++i) {
     ids_[i] = static_cast<TupleId>(i);
@@ -16,108 +30,54 @@ Status LinearScanIndex::Build(const std::vector<BinaryCode>& codes) {
 
 Result<std::vector<TupleId>> LinearScanIndex::Search(
     const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  std::vector<uint32_t> slots;
-  kernels::VerticalScanStats vstats;
-  kernels::BatchWithinDistanceDual(query, codes_, &vcodes_, h, &slots,
-                                   &vstats);
-  std::vector<TupleId> out;
-  out.reserve(slots.size());
-  for (uint32_t slot : slots) out.push_back(ids_[slot]);
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += ids_.size();
-    stats->exact_distance_computations += ids_.size();
-    stats->results += out.size();
-    stats->planes_scanned += vstats.planes_scanned;
-    stats->blocks_pruned += vstats.blocks_pruned;
-  }
-  return out;
+  const QueryRequest req = QueryRequest::Range(query, h);
+  QueryResponse resp;
+  HAMMING_RETURN_NOT_OK(SearchBatch({&req, 1}, {&resp, 1}));
+  HAMMING_RETURN_NOT_OK(resp.status);
+  if (stats != nullptr) *stats += resp.stats;
+  return std::move(resp.ids);
 }
 
 Result<std::vector<std::pair<TupleId, uint32_t>>> LinearScanIndex::Knn(
     const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  auto nearest = kernels::BatchKnn(query, codes_, k);
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += ids_.size();
-    stats->exact_distance_computations += ids_.size();
-    stats->results += nearest.size();
-  }
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  out.reserve(nearest.size());
-  for (const auto& [slot, dist] : nearest) {
-    out.emplace_back(ids_[slot], dist);
-  }
-  return out;
+  const QueryRequest req = QueryRequest::Knn(query, k);
+  QueryResponse resp;
+  HAMMING_RETURN_NOT_OK(KnnBatch({&req, 1}, {&resp, 1}));
+  HAMMING_RETURN_NOT_OK(resp.status);
+  if (stats != nullptr) *stats += resp.stats;
+  return std::move(resp.neighbors);
 }
 
 Status LinearScanIndex::SearchBatch(std::span<const QueryRequest> requests,
                                     std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
-  const std::size_t n = ids_.size();
-  // Requests whose (bits, h, n) pick the vertical layout run the exact
-  // scalar plane-pruning path; the rest coalesce into one multi-query
-  // horizontal scan. The split mirrors BatchWithinDistanceDual, so each
-  // response is byte-identical to its scalar Search.
-  const auto policy = kernels::ActiveLayoutPolicy();
-  const bool mirror_ok = !vcodes_.empty() && vcodes_.size() == codes_.size() &&
-                         vcodes_.bits() == codes_.bits();
-  std::vector<std::size_t> coalesced;  // request indices, horizontal group
   std::vector<const BinaryCode*> queries;
   std::vector<std::size_t> radii;
+  queries.reserve(requests.size());
+  radii.reserve(requests.size());
+  for (const QueryRequest& req : requests) {
+    queries.push_back(&req.code);
+    radii.push_back(req.h);
+  }
+  std::vector<kernels::SetAnswer> answers;
+  codes_.MultiWithinDistance(queries.data(), radii.data(), requests.size(),
+                             &answers);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
     resp.Clear();
-    bool want_vertical;
-    switch (policy) {
-      case kernels::LayoutPolicy::kForceHorizontal:
-        want_vertical = false;
-        break;
-      case kernels::LayoutPolicy::kForceVertical:
-        want_vertical = true;
-        break;
-      default:
-        want_vertical = kernels::ChooseLayout(codes_.bits(), requests[i].h,
-                                              codes_.size()) ==
-                        kernels::KernelLayout::kVertical;
+    const kernels::SetAnswer& answer = answers[i];
+    if (!answer.status.ok()) {
+      resp.status = answer.status;
+      continue;
     }
-    if (want_vertical && mirror_ok) {
-      std::vector<uint32_t> slots;
-      kernels::VerticalScanStats vstats;
-      kernels::BatchWithinDistance(requests[i].code, vcodes_, requests[i].h,
-                                   &slots, &vstats);
-      resp.ids.reserve(slots.size());
-      for (uint32_t slot : slots) resp.ids.push_back(ids_[slot]);
-      ++resp.stats.kernel_batch_calls;
-      resp.stats.candidates_generated += n;
-      resp.stats.exact_distance_computations += n;
-      resp.stats.results += resp.ids.size();
-      resp.stats.planes_scanned += vstats.planes_scanned;
-      resp.stats.blocks_pruned += vstats.blocks_pruned;
-    } else {
-      coalesced.push_back(i);
-      queries.push_back(&requests[i].code);
-      radii.push_back(requests[i].h);
+    resp.ids.reserve(answer.hits.size());
+    resp.distances.reserve(answer.hits.size());
+    for (const auto& hit : answer.hits) {
+      resp.ids.push_back(ids_[hit.slot]);
+      resp.distances.push_back(hit.dist);
     }
-  }
-  if (!coalesced.empty()) {
-    std::vector<std::vector<kernels::SlotDistance>> hits;
-    kernels::MultiWithinDistance(codes_, queries.data(), radii.data(),
-                                 coalesced.size(), &hits);
-    for (std::size_t g = 0; g < coalesced.size(); ++g) {
-      QueryResponse& resp = responses[coalesced[g]];
-      resp.ids.reserve(hits[g].size());
-      resp.distances.reserve(hits[g].size());
-      for (const auto& hit : hits[g]) {
-        resp.ids.push_back(ids_[hit.slot]);
-        resp.distances.push_back(hit.dist);
-      }
-      resp.has_distances = true;
-      ++resp.stats.kernel_batch_calls;
-      resp.stats.candidates_generated += n;
-      resp.stats.exact_distance_computations += n;
-      resp.stats.results += resp.ids.size();
-    }
+    resp.has_distances = true;
+    RecordScan(ids_.size(), resp.ids.size(), answer.planes, &resp.stats);
   }
   return Status::OK();
 }
@@ -125,7 +85,6 @@ Status LinearScanIndex::SearchBatch(std::span<const QueryRequest> requests,
 Status LinearScanIndex::KnnBatch(std::span<const QueryRequest> requests,
                                  std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
-  if (requests.empty()) return Status::OK();
   std::vector<const BinaryCode*> queries;
   std::vector<std::size_t> ks;
   queries.reserve(requests.size());
@@ -134,27 +93,28 @@ Status LinearScanIndex::KnnBatch(std::span<const QueryRequest> requests,
     queries.push_back(&req.code);
     ks.push_back(req.k);
   }
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> nearest;
-  kernels::MultiKnn(codes_, queries.data(), ks.data(), requests.size(),
-                    &nearest);
+  std::vector<kernels::SetAnswer> answers;
+  codes_.MultiKnn(queries.data(), ks.data(), requests.size(), &answers);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
     resp.Clear();
-    resp.neighbors.reserve(nearest[i].size());
-    for (const auto& [slot, dist] : nearest[i]) {
-      resp.neighbors.emplace_back(ids_[slot], dist);
+    const kernels::SetAnswer& answer = answers[i];
+    if (!answer.status.ok()) {
+      resp.status = answer.status;
+      continue;
     }
-    ++resp.stats.kernel_batch_calls;
-    resp.stats.candidates_generated += ids_.size();
-    resp.stats.exact_distance_computations += ids_.size();
-    resp.stats.results += resp.neighbors.size();
+    resp.neighbors.reserve(answer.hits.size());
+    for (const auto& hit : answer.hits) {
+      resp.neighbors.emplace_back(ids_[hit.slot], hit.dist);
+    }
+    RecordScan(ids_.size(), resp.neighbors.size(), answer.planes,
+               &resp.stats);
   }
   return Status::OK();
 }
 
 Status LinearScanIndex::Insert(TupleId id, const BinaryCode& code) {
   HAMMING_RETURN_NOT_OK(codes_.Append(code));
-  HAMMING_RETURN_NOT_OK(vcodes_.Append(code));
   ids_.push_back(id);
   return Status::OK();
 }
@@ -163,7 +123,6 @@ Status LinearScanIndex::Delete(TupleId id, const BinaryCode& code) {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     if (ids_[i] == id && codes_.Matches(i, code)) {
       codes_.SwapRemove(i);
-      vcodes_.SwapRemove(i);
       ids_[i] = ids_.back();
       ids_.pop_back();
       return Status::OK();
@@ -175,9 +134,9 @@ Status LinearScanIndex::Delete(TupleId id, const BinaryCode& code) {
 MemoryBreakdown LinearScanIndex::Memory() const {
   MemoryBreakdown mb;
   mb.leaf_bytes += codes_.PackedBytes();
-  // The vertical mirror doubles the code bytes held; account it as
-  // index overhead rather than leaf payload.
-  mb.internal_bytes += vcodes_.PackedBytes();
+  // The bit-plane copy, once present, doubles the code bytes held;
+  // account it as index overhead rather than leaf payload.
+  if (codes_.planes() != nullptr) mb.internal_bytes += codes_.PackedBytes();
   mb.leaf_bytes += ids_.size() * sizeof(TupleId);
   return mb;
 }

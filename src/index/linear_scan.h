@@ -1,16 +1,13 @@
 // Nested-Loops baseline (Section 3): a flat array of codes scanned with
 // XOR + popcount per query. O(n) reads and O(n) distance computations per
 // select; the quadratic-join strawman every other method is measured
-// against. Codes live in a word-stride CodeStore so the scan runs through
-// the batched kernels (kernels/hamming_kernels.h) instead of one
-// BinaryCode call per code; a bit-plane-major mirror of the same codes
-// lets selective (small-h) searches take the vertical plane-pruning
-// kernel instead (BatchWithinDistanceDual picks per query).
+// against. Codes live in one kernels::CodeSet, so the scan runs through
+// the batched kernels instead of one BinaryCode call per code, and the
+// set picks the word-stride or the bit-plane layout per query.
 #pragma once
 
 #include "index/hamming_index.h"
-#include "kernels/code_store.h"
-#include "kernels/vertical_code_store.h"
+#include "kernels/code_set.h"
 
 namespace hamming {
 
@@ -30,31 +27,25 @@ class LinearScanIndex final : public HammingIndex {
 
   /// \brief Exact k nearest stored tuples by Hamming distance, as
   /// (id, distance) ascending — a full batched scan with a bounded
-  /// top-k heap (kernels::BatchKnn) instead of the base class's
-  /// radius-expanding Search loop.
+  /// top-k heap instead of the base class's radius-expanding Search loop.
   Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
       const BinaryCode& query, std::size_t k,
       obs::QueryStats* stats = nullptr) const override;
 
-  /// \brief Native batch range plan: requests whose radius picks the
-  /// vertical layout run the plane-pruning scan (identical to the
-  /// scalar path), and the rest coalesce into ONE tile-major
-  /// multi-query kernel call (kernels::MultiWithinDistance) that
-  /// streams the word lanes once for the whole group and reports exact
-  /// distances per match (has_distances).
+  /// \brief Native batch range plan: one CodeSet multi-query range call.
+  /// Requests whose radius picks the bit-plane layout take the plane
+  /// scan; the rest share ONE tile-major pass over the word lanes. Every
+  /// response carries exact per-match distances (has_distances).
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
 
   /// \brief Native batch kNN: one multi-query bounded-heap scan
-  /// (kernels::MultiKnn), bit-identical per query to the scalar Knn.
+  /// (CodeSet::MultiKnn), bit-identical per query to the scalar Knn.
   Status KnnBatch(std::span<const QueryRequest> requests,
                   std::span<QueryResponse> responses) const override;
 
  private:
-  kernels::CodeStore codes_;
-  // Transposed mirror of codes_, maintained through every mutation so
-  // threshold scans can run the vertical kernel.
-  kernels::VerticalCodeStore vcodes_;
+  kernels::CodeSet codes_;
   std::vector<TupleId> ids_;
 };
 

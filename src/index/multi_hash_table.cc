@@ -48,23 +48,6 @@ std::vector<std::vector<uint8_t>> Combinations(std::size_t n, std::size_t k) {
 
 }  // namespace
 
-Status MultiHashTableIndex::AppendToBucket(Bucket* bucket, TupleId id,
-                                           const BinaryCode& code) {
-  bucket->ids.push_back(id);
-  HAMMING_RETURN_NOT_OK(bucket->codes.Append(code));
-  // Activate the bit-plane mirror only once the bucket could plausibly
-  // take the vertical scan; transpose the backlog on first crossing and
-  // append incrementally from then on.
-  if (bucket->codes.size() >= kernels::kVerticalMinCodes) {
-    if (bucket->vcodes.size() + 1 == bucket->codes.size()) {
-      HAMMING_RETURN_NOT_OK(bucket->vcodes.Append(code));
-    } else {
-      bucket->codes.TransposeInto(&bucket->vcodes);
-    }
-  }
-  return Status::OK();
-}
-
 std::pair<std::size_t, std::size_t> MultiHashTableIndex::BlockRange(
     std::size_t blk) const {
   std::size_t base = code_bits_ / num_blocks_;
@@ -134,7 +117,8 @@ Status MultiHashTableIndex::Insert(TupleId id, const BinaryCode& code) {
   HAMMING_RETURN_NOT_OK(EnsureLayout(code));
   for (std::size_t t = 0; t < combos_.size(); ++t) {
     Bucket& bucket = tables_[t][KeyOf(combos_[t], code)];
-    HAMMING_RETURN_NOT_OK(AppendToBucket(&bucket, id, code));
+    HAMMING_RETURN_NOT_OK(bucket.codes.Append(code));
+    bucket.ids.push_back(id);
   }
   stored_[id] = code;
   return Status::OK();
@@ -152,7 +136,6 @@ Status MultiHashTableIndex::Delete(TupleId id, const BinaryCode& code) {
     for (std::size_t i = bucket.ids.size(); i-- > 0;) {
       if (bucket.ids[i] != id) continue;
       bucket.codes.SwapRemove(i);
-      if (!bucket.vcodes.empty()) bucket.vcodes.SwapRemove(i);
       bucket.ids[i] = bucket.ids.back();
       bucket.ids.pop_back();
     }
@@ -171,30 +154,23 @@ Result<std::vector<TupleId>> MultiHashTableIndex::Search(
   std::vector<TupleId> out;
   // A tuple can match in several tables; verifying twice is cheaper than
   // a per-candidate visited set, so duplicates are dropped at the end.
-  std::vector<uint32_t> slots;
+  std::vector<kernels::SlotDistance> hits;
   for (std::size_t t = 0; t < combos_.size(); ++t) {
     if (stats != nullptr) ++stats->signatures_enumerated;
     auto bucket_it = tables_[t].find(KeyOf(combos_[t], query));
     if (bucket_it == tables_[t].end()) continue;
     const Bucket& bucket = bucket_it->second;
-    slots.clear();  // the batch kernels append
-    // Hand the mirror to the dual dispatcher only when it tracks the
-    // bucket exactly (it lags by design until the bucket crosses the
-    // vertical profitability floor).
-    const kernels::VerticalCodeStore* mirror =
-        bucket.vcodes.size() == bucket.codes.size() ? &bucket.vcodes
-                                                    : nullptr;
-    kernels::VerticalScanStats vstats;
-    kernels::BatchWithinDistanceDual(query, bucket.codes, mirror, h, &slots,
-                                     &vstats);
+    kernels::VerticalScanStats planes;
+    HAMMING_RETURN_NOT_OK(
+        bucket.codes.WithinDistance(query, h, &hits, &planes));
     if (stats != nullptr) {
       ++stats->kernel_batch_calls;
       stats->candidates_generated += bucket.ids.size();
       stats->exact_distance_computations += bucket.ids.size();
-      stats->planes_scanned += vstats.planes_scanned;
-      stats->blocks_pruned += vstats.blocks_pruned;
+      stats->planes_scanned += planes.planes_scanned;
+      stats->blocks_pruned += planes.blocks_pruned;
     }
-    for (uint32_t slot : slots) out.push_back(bucket.ids[slot]);
+    for (const auto& hit : hits) out.push_back(bucket.ids[hit.slot]);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -252,8 +228,8 @@ Result<MultiHashTableIndex> MultiHashTableIndex::Deserialize(
           layout_ready = true;
         }
         Bucket& bucket = index.tables_[t][key];
-        HAMMING_RETURN_NOT_OK(
-            AppendToBucket(&bucket, static_cast<TupleId>(id), code));
+        HAMMING_RETURN_NOT_OK(bucket.codes.Append(code));
+        bucket.ids.push_back(static_cast<TupleId>(id));
       }
     }
   }
@@ -278,7 +254,9 @@ MemoryBreakdown MultiHashTableIndex::Memory() const {
     for (const auto& [key, bucket] : table) {
       (void)key;
       mb.internal_bytes += bucket.ids.size() * (sizeof(TupleId) + per_code);
-      mb.internal_bytes += bucket.vcodes.PackedBytes();
+      if (bucket.codes.planes() != nullptr) {
+        mb.internal_bytes += bucket.codes.PackedBytes();
+      }
     }
   }
   for (const auto& [id, code] : stored_) {

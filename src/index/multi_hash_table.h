@@ -19,8 +19,7 @@
 #include <unordered_map>
 
 #include "index/hamming_index.h"
-#include "kernels/code_store.h"
-#include "kernels/vertical_code_store.h"
+#include "kernels/code_set.h"
 
 namespace hamming {
 
@@ -61,23 +60,13 @@ class MultiHashTableIndex final : public HammingIndex {
   static Result<MultiHashTableIndex> Deserialize(BufferReader* r);
 
  private:
-  /// One hash bucket: parallel id / word-stride code arrays, so bucket
-  /// verification is a single batched kernel pass instead of a scalar
-  /// WithinDistance per replicated fingerprint.
+  /// One hash bucket: slot i holds tuple ids[i] with code codes.Get(i),
+  /// so bucket verification is a single CodeSet range call instead of a
+  /// scalar WithinDistance per replicated fingerprint.
   struct Bucket {
     std::vector<TupleId> ids;
-    kernels::CodeStore codes;
-    // Bit-plane mirror of `codes`, materialized lazily once the bucket
-    // reaches the vertical kernel's profitability floor (most buckets are
-    // tiny and never pay the transpose).
-    kernels::VerticalCodeStore vcodes;
+    kernels::CodeSet codes;
   };
-
-  /// Appends one replicated fingerprint to a bucket, keeping the
-  /// bit-plane mirror in sync once the bucket is large enough for the
-  /// vertical scan to pay off.
-  static Status AppendToBucket(Bucket* bucket, TupleId id,
-                               const BinaryCode& code);
 
   /// Lays out blocks/combinations on first use; validates key width.
   Status EnsureLayout(const BinaryCode& code);

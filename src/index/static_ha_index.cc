@@ -168,13 +168,9 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
   // Selective queries over large stores skip the node walk entirely and
   // scan the bit-plane sidecar: the vertical kernel's per-block pruning
   // beats memoized path sums when most blocks die within a few planes.
-  const auto policy = kernels::ActiveLayoutPolicy();
-  const bool want_vertical =
-      policy == kernels::LayoutPolicy::kForceVertical ||
-      (policy == kernels::LayoutPolicy::kAuto &&
-       kernels::ChooseLayout(code_bits_, h, paths_.size()) ==
-           kernels::KernelLayout::kVertical);
-  if (want_vertical && vcodes_.size() == paths_.size()) {
+  if (kernels::ChooseLayout(code_bits_, h, paths_.size()) ==
+          kernels::KernelLayout::kVertical &&
+      vcodes_.size() == paths_.size()) {
     std::vector<uint32_t> slots;
     kernels::VerticalScanStats vstats;
     kernels::BatchWithinDistance(query, vcodes_, h, &slots, &vstats);

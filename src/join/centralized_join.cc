@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/code_store.h"
-#include "kernels/hamming_kernels.h"
-#include "kernels/vertical_code_store.h"
+#include "kernels/code_set.h"
 
 namespace hamming {
 
@@ -14,28 +12,16 @@ std::vector<JoinPair> NestedLoopsJoin(const std::vector<BinaryCode>& r_codes,
   std::vector<JoinPair> out;
   if (r_codes.empty() || s_codes.empty()) return out;
   // Pack the inner side once; each outer tuple then verifies the whole
-  // inner relation with one batched kernel pass. Mixed-length inputs
-  // (which can't share a store) fall back to the scalar pairwise loop.
-  auto store = kernels::CodeStore::FromCodes(s_codes);
-  if (store.ok()) {
-    // With many outer probes a one-time transpose of the inner side lets
-    // every probe take the vertical plane-pruning kernel when profitable.
-    kernels::VerticalCodeStore mirror;
-    const kernels::VerticalCodeStore* mirror_ptr = nullptr;
-    if (r_codes.size() > 1 &&
-        kernels::ChooseLayout(store->bits(), h, store->size()) ==
-            kernels::KernelLayout::kVertical) {
-      store->TransposeInto(&mirror);
-      mirror_ptr = &mirror;
-    }
-    std::vector<uint32_t> slots;
+  // inner relation with one CodeSet range call, which skips outer codes
+  // of another width. Mixed-length inputs (which can't share a set) fall
+  // back to the scalar pairwise loop.
+  auto set = kernels::CodeSet::FromCodes(s_codes);
+  if (set.ok()) {
+    std::vector<kernels::SlotDistance> hits;
     for (std::size_t i = 0; i < r_codes.size(); ++i) {
-      if (r_codes[i].size() != store->bits()) continue;
-      slots.clear();  // the batch kernels append
-      kernels::BatchWithinDistanceDual(r_codes[i], *store, mirror_ptr, h,
-                                       &slots);
-      for (uint32_t j : slots) {
-        out.push_back({static_cast<TupleId>(i), static_cast<TupleId>(j)});
+      if (!set->WithinDistance(r_codes[i], h, &hits).ok()) continue;
+      for (const auto& hit : hits) {
+        out.push_back({static_cast<TupleId>(i), hit.slot});
       }
     }
     return out;

@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/vertical_code_store.h"
-
 namespace hamming::kernels {
-
-void CodeStore::TransposeInto(VerticalCodeStore* out) const {
-  out->AssignTransposed(*this);
-}
 
 void CodeStore::Reset(std::size_t bits) {
   bits_ = bits;

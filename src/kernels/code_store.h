@@ -24,8 +24,6 @@
 
 namespace hamming::kernels {
 
-class VerticalCodeStore;
-
 /// \brief Contiguous word-stride storage for same-length binary codes.
 class CodeStore {
  public:
@@ -50,14 +48,6 @@ class CodeStore {
   /// \brief Replaces slot `i` by the last code and shrinks by one (the
   /// same swap-remove every index's Delete uses).
   void SwapRemove(std::size_t i);
-
-  void Clear() { Reset(bits_); }
-
-  /// \brief Rebuilds `out` as the bit-plane-major transpose of this
-  /// store, straight from the word lanes (64x64 bit-matrix transposes;
-  /// no intermediate BinaryCode copies). `out->IsTransposeOf(*this)`
-  /// holds afterwards and serves as the differential round-trip check.
-  void TransposeInto(VerticalCodeStore* out) const;
 
   /// \brief Reconstructs the code stored at slot `i`.
   BinaryCode Get(std::size_t i) const;

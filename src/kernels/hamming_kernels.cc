@@ -4,9 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
 
 namespace hamming::kernels {
 
@@ -138,28 +135,6 @@ std::atomic<Backend> g_backend = [] {
 #endif
   return Backend::kPortable;
 }();
-
-// Layout policy for BatchWithinDistanceDual, seeded once from the
-// HAMMING_KERNEL_LAYOUT environment variable.
-LayoutPolicy LayoutPolicyFromEnv() {
-  const char* env = std::getenv("HAMMING_KERNEL_LAYOUT");
-  if (env == nullptr) return LayoutPolicy::kAuto;
-  std::array<char, 16> buf{};
-  std::size_t n = 0;
-  for (; env[n] != '\0' && n + 1 < buf.size(); ++n) {
-    buf[n] = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(env[n])));
-  }
-  if (std::strcmp(buf.data(), "horizontal") == 0) {
-    return LayoutPolicy::kForceHorizontal;
-  }
-  if (std::strcmp(buf.data(), "vertical") == 0) {
-    return LayoutPolicy::kForceVertical;
-  }
-  return LayoutPolicy::kAuto;  // "auto", unset, or unrecognized
-}
-
-std::atomic<LayoutPolicy> g_layout_policy = LayoutPolicyFromEnv();
 
 void BatchDistanceRange(const CodeStore& store, const uint64_t* qwords,
                         std::size_t base, std::size_t len, uint32_t* out) {
@@ -300,36 +275,6 @@ const char* BackendName(Backend backend) {
   return "unknown";
 }
 
-LayoutPolicy ActiveLayoutPolicy() {
-  return g_layout_policy.load(std::memory_order_relaxed);
-}
-
-void SetLayoutPolicy(LayoutPolicy policy) {
-  g_layout_policy.store(policy, std::memory_order_relaxed);
-}
-
-const char* LayoutPolicyName(LayoutPolicy policy) {
-  switch (policy) {
-    case LayoutPolicy::kAuto:
-      return "auto";
-    case LayoutPolicy::kForceHorizontal:
-      return "horizontal";
-    case LayoutPolicy::kForceVertical:
-      return "vertical";
-  }
-  return "unknown";
-}
-
-const char* LayoutName(KernelLayout layout) {
-  switch (layout) {
-    case KernelLayout::kHorizontal:
-      return "horizontal";
-    case KernelLayout::kVertical:
-      return "vertical";
-  }
-  return "unknown";
-}
-
 KernelLayout ChooseLayout(std::size_t bits, std::size_t h, std::size_t n) {
   // Vertical wins when (a) the store amortizes the per-block counter
   // setup and (b) the radius is selective enough that plane pruning
@@ -377,36 +322,6 @@ void BatchWithinDistance(const BinaryCode& query,
 std::size_t BatchCount(const BinaryCode& query, const VerticalCodeStore& store,
                        std::size_t h, VerticalScanStats* stats) {
   return VerticalScanDispatch(query, store, h, nullptr, stats);
-}
-
-KernelLayout BatchWithinDistanceDual(const BinaryCode& query,
-                                     const CodeStore& store,
-                                     const VerticalCodeStore* mirror,
-                                     std::size_t h,
-                                     std::vector<uint32_t>* out_slots,
-                                     VerticalScanStats* stats) {
-  bool want_vertical;
-  switch (ActiveLayoutPolicy()) {
-    case LayoutPolicy::kForceHorizontal:
-      want_vertical = false;
-      break;
-    case LayoutPolicy::kForceVertical:
-      want_vertical = true;
-      break;
-    default:
-      want_vertical =
-          ChooseLayout(store.bits(), h, store.size()) == KernelLayout::kVertical;
-  }
-  // The mirror must actually be the transpose of `store` (same length,
-  // same slot count); anything else — absent, mid-rebuild, or lagging —
-  // falls back to the always-correct horizontal lanes.
-  if (want_vertical && mirror != nullptr && !mirror->empty() &&
-      mirror->size() == store.size() && mirror->bits() == store.bits()) {
-    VerticalScanDispatch(query, *mirror, h, out_slots, stats);
-    return KernelLayout::kVertical;
-  }
-  BatchWithinDistance(query, store, h, out_slots);
-  return KernelLayout::kHorizontal;
 }
 
 void BatchXorPopcount(uint64_t query_word, const uint64_t* values,

@@ -18,17 +18,17 @@
 // SetBackend() pins one implementation; tests run the differential suite
 // under every supported backend to prove they agree.
 //
-// Orthogonally to the backend, threshold queries choose between two data
+// Orthogonally to the backend, threshold queries run over one of two data
 // layouts:
 //  * horizontal — the CodeStore word lanes above: full distance per code.
-//  * vertical — a VerticalCodeStore bit-plane mirror: per-lane distance
+//  * vertical — a VerticalCodeStore bit-plane copy: per-lane distance
 //    counters accumulate plane-by-plane in bit-sliced form across 512
 //    codes at once, and a whole block is abandoned the moment every
 //    lane's running count already exceeds h. On selective (small-h)
 //    queries most blocks die within the first few planes, so the scan
 //    reads a fraction of the planes the horizontal kernel must touch.
-// BatchWithinDistanceDual applies the heuristic (see ChooseLayout) with
-// an env override HAMMING_KERNEL_LAYOUT=auto|horizontal|vertical.
+// kernels::CodeSet (code_set.h) owns both layouts of a stored set and
+// picks between them per query with ChooseLayout.
 #pragma once
 
 #include <cstdint>
@@ -65,41 +65,20 @@ void SetBackend(Backend backend);
 /// \brief Human-readable backend name ("portable", "avx2", "avx512").
 const char* BackendName(Backend backend);
 
-/// \brief Which storage layout a threshold scan ran against.
+/// \brief Which storage layout ChooseLayout picks for a threshold scan.
 enum class KernelLayout {
   kHorizontal,  // CodeStore word lanes
   kVertical,    // VerticalCodeStore bit planes
 };
-
-/// \brief Layout selection policy for BatchWithinDistanceDual.
-enum class LayoutPolicy {
-  kAuto,             // heuristic on (bits, h, n); the default
-  kForceHorizontal,  // always scan CodeStore lanes
-  kForceVertical,    // always scan the vertical mirror when present
-};
-
-/// \brief The layout policy in effect. Initialized once from the
-/// HAMMING_KERNEL_LAYOUT environment variable (auto|horizontal|vertical,
-/// case-insensitive; unset or unrecognized = auto).
-LayoutPolicy ActiveLayoutPolicy();
-
-/// \brief Pins the layout policy (tests/benchmarks).
-void SetLayoutPolicy(LayoutPolicy policy);
-
-/// \brief Policy name ("auto", "horizontal", "vertical").
-const char* LayoutPolicyName(LayoutPolicy policy);
-
-/// \brief Layout name ("horizontal", "vertical").
-const char* LayoutName(KernelLayout layout);
 
 /// \brief Smallest store for which the vertical layout can win: below
 /// ~8 blocks the per-query setup (query mask spread, counter reset per
 /// block) swamps the plane pruning.
 inline constexpr std::size_t kVerticalMinCodes = 4096;
 
-/// \brief The heuristic behind LayoutPolicy::kAuto: vertical iff the
-/// store is large enough to amortize per-block setup AND the radius is
-/// selective enough (h*8 <= bits) that plane pruning bites early.
+/// \brief The layout heuristic: vertical iff the store is large enough
+/// to amortize per-block setup AND the radius is selective enough
+/// (h*8 <= bits) that plane pruning bites early.
 KernelLayout ChooseLayout(std::size_t bits, std::size_t h, std::size_t n);
 
 /// \brief Observability counters filled by one vertical scan.
@@ -135,18 +114,6 @@ void BatchWithinDistance(const BinaryCode& query,
 /// (vertical layout; popcounts the survivor masks per block).
 std::size_t BatchCount(const BinaryCode& query, const VerticalCodeStore& store,
                        std::size_t h, VerticalScanStats* stats = nullptr);
-
-/// \brief Layout-dispatching threshold scan: uses `mirror` (the
-/// bit-plane transpose of `store`, may be null or stale) when the active
-/// policy/heuristic picks vertical AND the mirror matches the store's
-/// size and bits; otherwise scans the horizontal lanes. Returns the
-/// layout actually used. `stats` is only filled by the vertical path.
-KernelLayout BatchWithinDistanceDual(const BinaryCode& query,
-                                     const CodeStore& store,
-                                     const VerticalCodeStore* mirror,
-                                     std::size_t h,
-                                     std::vector<uint32_t>* out_slots,
-                                     VerticalScanStats* stats = nullptr);
 
 /// \brief out[i] = popcount(values[i] ^ query_word): the one-word batch
 /// used for per-segment node distances (StaticHAIndex phase 1). Counts

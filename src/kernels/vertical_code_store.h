@@ -43,8 +43,6 @@ class VerticalCodeStore {
   /// \brief Clears and fixes the code length (0 = adopt first Append).
   void Reset(std::size_t bits);
 
-  void Clear() { Reset(bits_); }
-
   /// \brief Appends one code (bit-scatter, O(bits)); adopts its length
   /// if the store is empty. Bulk ingest should transpose an existing
   /// CodeStore via AssignTransposed instead.

@@ -6,9 +6,7 @@
 
 #include "common/sync.h"
 #include "join/centralized_join.h"
-#include "kernels/code_store.h"
-#include "kernels/hamming_kernels.h"
-#include "kernels/vertical_code_store.h"
+#include "kernels/code_set.h"
 
 namespace hamming::ops {
 
@@ -20,18 +18,6 @@ Result<DynamicHAIndex> BuildIndex(const HammingTable& t,
   DynamicHAIndex index(opts);
   HAMMING_RETURN_NOT_OK(index.Build(t.codes()));
   return index;
-}
-
-// Full-table selection through the batched kernels; slot i is tuple id i.
-// `mirror` (optional) is the bit-plane transpose of `store`; when present
-// the layout dispatch may take the vertical plane-pruning kernel.
-Result<std::vector<TupleId>> ScanSelect(
-    const kernels::CodeStore& store,
-    const kernels::VerticalCodeStore* mirror, const BinaryCode& query,
-    std::size_t h) {
-  std::vector<uint32_t> slots;
-  kernels::BatchWithinDistanceDual(query, store, mirror, h, &slots);
-  return std::vector<TupleId>(slots.begin(), slots.end());
 }
 
 // One coalesced range batch: queries[i] answered into out[i]. The index's
@@ -64,17 +50,9 @@ Result<std::vector<TupleId>> HammingSelect(const HammingTable& s,
                                            const BinaryCode& query,
                                            std::size_t h,
                                            const OperatorOptions& opts) {
-  if (opts.plan == JoinPlan::kNestedLoops) {
-    HAMMING_ASSIGN_OR_RETURN(kernels::CodeStore store,
-                             kernels::CodeStore::FromCodes(s.codes()));
-    // Single query: the one-shot transpose would cost more than it saves.
-    return ScanSelect(store, nullptr, query, h);
-  }
-  HAMMING_ASSIGN_OR_RETURN(DynamicHAIndex index, BuildIndex(s, opts.index));
-  std::vector<TupleId> out;
-  HAMMING_RETURN_NOT_OK(
-      BatchSelectInto(index, {&query, 1}, h, {&out, 1}));
-  return out;
+  HAMMING_ASSIGN_OR_RETURN(std::vector<std::vector<TupleId>> out,
+                           HammingSelectBatch(s, {query}, h, opts));
+  return std::move(out[0]);
 }
 
 Result<std::vector<std::vector<TupleId>>> HammingSelectBatch(
@@ -82,22 +60,21 @@ Result<std::vector<std::vector<TupleId>>> HammingSelectBatch(
     std::size_t h, const OperatorOptions& opts) {
   std::vector<std::vector<TupleId>> out(queries.size());
   if (opts.plan == JoinPlan::kNestedLoops) {
-    // Pack once, scan per query — the pack cost amortizes over the batch.
-    HAMMING_ASSIGN_OR_RETURN(kernels::CodeStore store,
-                             kernels::CodeStore::FromCodes(s.codes()));
-    // Transpose once for the whole batch when any query could take the
-    // vertical kernel (queries.size() > 1 amortizes the transpose).
-    kernels::VerticalCodeStore mirror;
-    const kernels::VerticalCodeStore* mirror_ptr = nullptr;
-    if (queries.size() > 1 &&
-        kernels::ChooseLayout(store.bits(), h, store.size()) ==
-            kernels::KernelLayout::kVertical) {
-      store.TransposeInto(&mirror);
-      mirror_ptr = &mirror;
-    }
+    // Pack once; slot i is tuple id i. The set sends each query to the
+    // plane scan or to one tile-major pass shared by the batch.
+    HAMMING_ASSIGN_OR_RETURN(kernels::CodeSet set,
+                             kernels::CodeSet::FromCodes(s.codes()));
+    std::vector<const BinaryCode*> qptrs;
+    qptrs.reserve(queries.size());
+    for (const BinaryCode& q : queries) qptrs.push_back(&q);
+    const std::vector<std::size_t> radii(queries.size(), h);
+    std::vector<kernels::SetAnswer> answers;
+    set.MultiWithinDistance(qptrs.data(), radii.data(), queries.size(),
+                            &answers);
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      HAMMING_ASSIGN_OR_RETURN(out[q],
-                               ScanSelect(store, mirror_ptr, queries[q], h));
+      HAMMING_RETURN_NOT_OK(answers[q].status);
+      out[q].reserve(answers[q].hits.size());
+      for (const auto& hit : answers[q].hits) out[q].push_back(hit.slot);
     }
     return out;
   }

@@ -472,11 +472,35 @@ TEST(DynamicHAAudit, CheckConsistencyCleanAfterBuild) {
   EXPECT_EQ(dha.ExportTuples().size(), codes.size());
 }
 
+TEST(DynamicHAAudit, RebuildAtNewWidthResetsTheInsertBuffer) {
+  // Build 32-bit codes and buffer one insert, then rebuild over 64-bit
+  // codes: the buffer must take the new width, so a valid 64-bit insert
+  // is accepted, found and deleted with every invariant intact.
+  DynamicHAIndex dha;
+  ASSERT_TRUE(dha.Build(RandomCodes(20, 32, /*seed=*/61)).ok());
+  ASSERT_TRUE(dha.Insert(100, RandomCodes(1, 32, /*seed=*/62)[0]).ok());
+  ASSERT_TRUE(dha.Build(RandomCodes(20, 64, /*seed=*/63)).ok());
+  const BinaryCode fresh = RandomCodes(1, 64, /*seed=*/64)[0];
+  ASSERT_TRUE(dha.Insert(200, fresh).ok());
+  ASSERT_TRUE(dha.CheckConsistency().ok());
+  EXPECT_EQ(dha.size(), 21u);
+  // A refused insert changes nothing.
+  EXPECT_TRUE(dha.Insert(300, BinaryCode(32)).IsInvalidArgument());
+  ASSERT_TRUE(dha.CheckConsistency().ok());
+  EXPECT_EQ(dha.size(), 21u);
+  auto got = dha.Search(fresh, 0);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_NE(std::find(got->begin(), got->end(), 200u), got->end());
+  ASSERT_TRUE(dha.Delete(200, fresh).ok());
+  ASSERT_TRUE(dha.CheckConsistency().ok());
+  EXPECT_EQ(dha.size(), 20u);
+}
+
 TEST(DynamicHAAudit, CheckConsistencyDifferentialChurn) {
-  // Random insert/delete churn with periodic audits: the word-stride
-  // buffer mirror, its bit-plane transpose, the forest frequencies and
-  // the size accounting must agree after every SwapRemove-era mutation
-  // pattern (delete-from-buffer, delete-from-leaf, flush, re-insert).
+  // Random insert/delete churn with periodic audits: the buffer's ids
+  // and codes, the forest frequencies and the size accounting must agree
+  // after every SwapRemove-era mutation pattern (delete-from-buffer,
+  // delete-from-leaf, flush, re-insert).
   auto pool = RandomCodes(256, 48, /*seed=*/79, /*clusters=*/8);
   DynamicHAIndexOptions dopts;
   dopts.insert_flush_threshold = 16;  // force frequent flushes

@@ -6,6 +6,7 @@
 
 #include <tuple>
 
+#include "index/concurrent_ha_index.h"
 #include "test_util.h"
 
 namespace hamming {
@@ -234,13 +235,33 @@ TEST(Indexes, MemoryAccountingIsPositiveAndOrdered) {
 }
 
 TEST(Indexes, QueryLengthMismatchRejected) {
-  auto codes = RandomCodes(20, 32, /*seed=*/9);
-  for (const auto& name : {"mh4", "hengine", "hmsearch", "sha8", "dha"}) {
+  // Every family refuses a 32-bit query over 64-bit codes, in the status
+  // of its own response, through both batch entry points.
+  auto codes = RandomCodes(20, 64, /*seed=*/9);
+  std::vector<std::pair<std::string, std::unique_ptr<HammingIndex>>> indexes;
+  for (const auto& name : testutil::AllIndexNames()) {
     auto index = MakeIndex(name);
-    ASSERT_TRUE(index->Build(codes).ok());
-    BinaryCode q(16);
-    auto got = index->Search(q, 3);
-    EXPECT_FALSE(got.ok()) << name;
+    ASSERT_TRUE(index->Build(codes).ok()) << name;
+    indexes.emplace_back(name, std::move(index));
+  }
+  // A ConcurrentHAIndex whose tuples all sit in its delta.
+  auto delta_only = std::make_unique<ConcurrentHAIndex>();
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    ASSERT_TRUE(delta_only->Insert(static_cast<TupleId>(i), codes[i]).ok());
+  }
+  ASSERT_EQ(delta_only->Pin()->delta_inserts(), codes.size());
+  indexes.emplace_back("cha-delta", std::move(delta_only));
+
+  const QueryRequest range = QueryRequest::Range(BinaryCode(32), 3);
+  const QueryRequest knn = QueryRequest::Knn(BinaryCode(32), 3);
+  for (const auto& [name, index] : indexes) {
+    QueryResponse resp;
+    ASSERT_TRUE(index->SearchBatch({&range, 1}, {&resp, 1}).ok()) << name;
+    EXPECT_TRUE(resp.status.IsInvalidArgument())
+        << name << " SearchBatch: " << resp.status;
+    ASSERT_TRUE(index->KnnBatch({&knn, 1}, {&resp, 1}).ok()) << name;
+    EXPECT_TRUE(resp.status.IsInvalidArgument())
+        << name << " KnnBatch: " << resp.status;
   }
 }
 

@@ -1,6 +1,6 @@
-// Differential tests for the batched Hamming kernels: every routine must
-// agree bit-for-bit with a loop of scalar BinaryCode calls, under both
-// the portable and (when available) AVX2 backends.
+// Differential tests for the batched Hamming kernels and the CodeSet that
+// owns both layouts: every routine must agree bit-for-bit with a loop of
+// scalar BinaryCode calls, under every backend the machine supports.
 #include "kernels/hamming_kernels.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "kernels/code_set.h"
 #include "kernels/code_store.h"
 #include "kernels/vertical_code_store.h"
 #include "mapreduce/counters.h"
@@ -37,18 +38,6 @@ class ScopedBackend {
 
  private:
   Backend prev_;
-};
-
-// Pins the layout policy for one scope.
-class ScopedLayout {
- public:
-  explicit ScopedLayout(LayoutPolicy p) : prev_(ActiveLayoutPolicy()) {
-    SetLayoutPolicy(p);
-  }
-  ~ScopedLayout() { SetLayoutPolicy(prev_); }
-
- private:
-  LayoutPolicy prev_;
 };
 
 TEST(CodeStore, RoundTripsCodes) {
@@ -296,7 +285,7 @@ TEST(VerticalStore, TransposeRoundTripAcrossLengthsAndSizes) {
       auto codes = RandomCodes(n, bits, /*seed=*/7000 + bits + n);
       auto store = CodeStore::FromCodes(codes).ValueOrDie();
       VerticalCodeStore v;
-      store.TransposeInto(&v);
+      v.AssignTransposed(store);
       ASSERT_EQ(v.size(), n) << "bits=" << bits;
       if (n > 0) {
         EXPECT_EQ(v.bits(), bits);
@@ -331,7 +320,7 @@ TEST(VerticalStore, IncrementalAppendMatchesBulkTranspose) {
     }
     EXPECT_TRUE(incremental.IsTransposeOf(store)) << "bits=" << bits;
     VerticalCodeStore bulk;
-    store.TransposeInto(&bulk);
+    bulk.AssignTransposed(store);
     for (std::size_t i = 0; i < codes.size(); i += 97) {
       EXPECT_EQ(incremental.Get(i), bulk.Get(i)) << "i=" << i;
     }
@@ -348,7 +337,7 @@ TEST(VerticalStore, SwapRemoveTracksCodeStore) {
   auto codes = RandomCodes(600, 225, /*seed=*/53);
   auto store = CodeStore::FromCodes(codes).ValueOrDie();
   VerticalCodeStore v;
-  store.TransposeInto(&v);
+  v.AssignTransposed(store);
   std::size_t step = 0;
   while (store.size() > 0) {
     const std::size_t i = (store.size() * 2) / 3;
@@ -373,7 +362,7 @@ TEST(Kernels, VerticalWithinDistanceMatchesScalarEverywhere) {
                                  /*clusters=*/6);
         auto store = CodeStore::FromCodes(codes).ValueOrDie();
         VerticalCodeStore v;
-        store.TransposeInto(&v);
+        v.AssignTransposed(store);
         auto query = RandomCodes(1, bits, /*seed=*/bits + 3 * n)[0];
         for (std::size_t h :
              {0ul, 1ul, 3ul, bits / 8, bits / 4, bits - 1, bits}) {
@@ -405,7 +394,7 @@ TEST(Kernels, VerticalBackendsAgreeOnClusteredData) {
   auto codes = RandomCodes(3000, bits, /*seed=*/77, /*clusters=*/3);
   auto store = CodeStore::FromCodes(codes).ValueOrDie();
   VerticalCodeStore v;
-  store.TransposeInto(&v);
+  v.AssignTransposed(store);
   auto query = codes[123];
   query.FlipBit(5);
   for (std::size_t h : {2ul, 16ul, 64ul}) {
@@ -434,63 +423,6 @@ TEST(Kernels, ChooseLayoutHeuristic) {
   EXPECT_EQ(ChooseLayout(64, 9, 1 << 20), KernelLayout::kHorizontal);
 }
 
-TEST(Kernels, DualDispatchHonorsPolicyAndMirror) {
-  const std::size_t bits = 128;
-  const std::size_t n = kVerticalMinCodes + 77;
-  auto codes = RandomCodes(n, bits, /*seed=*/9, /*clusters=*/5);
-  auto store = CodeStore::FromCodes(codes).ValueOrDie();
-  VerticalCodeStore mirror;
-  store.TransposeInto(&mirror);
-  auto query = RandomCodes(1, bits, /*seed=*/10)[0];
-  const std::size_t h = 8;
-  std::vector<uint32_t> expected;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (codes[i].WithinDistance(query, h)) {
-      expected.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  {
-    ScopedLayout pin(LayoutPolicy::kAuto);
-    std::vector<uint32_t> slots;
-    VerticalScanStats stats;
-    EXPECT_EQ(BatchWithinDistanceDual(query, store, &mirror, h, &slots,
-                                      &stats),
-              KernelLayout::kVertical);
-    EXPECT_EQ(slots, expected);
-    EXPECT_EQ(stats.blocks_scanned, mirror.num_blocks());
-    // Unselective radius flips the heuristic back to horizontal.
-    std::vector<uint32_t> all;
-    EXPECT_EQ(BatchWithinDistanceDual(query, store, &mirror, bits, &all),
-              KernelLayout::kHorizontal);
-    EXPECT_EQ(all.size(), n);
-  }
-  {
-    ScopedLayout pin(LayoutPolicy::kForceHorizontal);
-    std::vector<uint32_t> slots;
-    EXPECT_EQ(BatchWithinDistanceDual(query, store, &mirror, h, &slots),
-              KernelLayout::kHorizontal);
-    EXPECT_EQ(slots, expected);
-  }
-  {
-    ScopedLayout pin(LayoutPolicy::kForceVertical);
-    std::vector<uint32_t> slots;
-    EXPECT_EQ(BatchWithinDistanceDual(query, store, &mirror, h, &slots),
-              KernelLayout::kVertical);
-    EXPECT_EQ(slots, expected);
-    // No mirror, or a mirror that lags the store, must fall back.
-    std::vector<uint32_t> fallback;
-    EXPECT_EQ(BatchWithinDistanceDual(query, store, nullptr, h, &fallback),
-              KernelLayout::kHorizontal);
-    EXPECT_EQ(fallback, expected);
-    CodeStore grown = store;
-    ASSERT_TRUE(grown.Append(query).ok());
-    std::vector<uint32_t> stale;
-    EXPECT_EQ(BatchWithinDistanceDual(query, grown, &mirror, h, &stale),
-              KernelLayout::kHorizontal);
-    EXPECT_EQ(stale.size(), expected.size() + 1);
-  }
-}
-
 TEST(Kernels, VerticalScanSharedAcrossThreads) {
   // Read-only concurrent scans over one shared mirror: exercised under
   // TSan by scripts/check.sh. Each thread gets its own output vector.
@@ -498,7 +430,7 @@ TEST(Kernels, VerticalScanSharedAcrossThreads) {
   auto codes = RandomCodes(2000, bits, /*seed=*/21, /*clusters=*/4);
   auto store = CodeStore::FromCodes(codes).ValueOrDie();
   VerticalCodeStore v;
-  store.TransposeInto(&v);
+  v.AssignTransposed(store);
   std::vector<uint32_t> expected;
   auto query = RandomCodes(1, bits, /*seed=*/22)[0];
   BatchWithinDistance(query, store, 24, &expected);
@@ -508,6 +440,279 @@ TEST(Kernels, VerticalScanSharedAcrossThreads) {
     BatchWithinDistance(query, v, 24, &got[i]);
   });
   for (const auto& g : got) EXPECT_EQ(g, expected);
+}
+
+// ---------------------------------------------------------------------------
+// CodeSet: the one owner of both layouts. Every entry is checked against
+// scalar BinaryCode::Distance under every backend, across widths, sizes
+// on both sides of kVerticalMinCodes, and radii on both sides of bits/8.
+// ---------------------------------------------------------------------------
+
+const std::size_t kSetWidths[] = {1, 31, 32, 63, 64, 65, 128, 225, 512};
+
+// Every (slot, distance) within h of `query`, in ascending slot order.
+std::vector<SlotDistance> ScalarRange(const std::vector<BinaryCode>& codes,
+                                      const BinaryCode& query,
+                                      std::size_t h) {
+  std::vector<SlotDistance> out;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const auto d = static_cast<uint32_t>(codes[i].Distance(query));
+    if (d <= h) out.push_back({static_cast<uint32_t>(i), d});
+  }
+  return out;
+}
+
+// The k nearest (slot, distance) in ascending (distance, slot) order.
+std::vector<SlotDistance> ScalarKnn(const std::vector<BinaryCode>& codes,
+                                    const BinaryCode& query, std::size_t k) {
+  std::vector<std::pair<uint32_t, uint32_t>> ranked;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    ranked.emplace_back(static_cast<uint32_t>(codes[i].Distance(query)),
+                        static_cast<uint32_t>(i));
+  }
+  std::sort(ranked.begin(), ranked.end());
+  ranked.resize(std::min(k, ranked.size()));
+  std::vector<SlotDistance> out;
+  for (const auto& [d, slot] : ranked) out.push_back({slot, d});
+  return out;
+}
+
+// The plane copy is present exactly when expected and, when present, is
+// the transpose of the word lanes.
+::testing::AssertionResult PlanesInStep(const CodeSet& set, bool expected) {
+  if ((set.planes() != nullptr) != expected) {
+    return ::testing::AssertionFailure()
+           << "plane copy " << (expected ? "missing" : "unexpected")
+           << " at size " << set.size();
+  }
+  if (expected && !set.planes()->IsTransposeOf(set.words())) {
+    return ::testing::AssertionFailure()
+           << "plane copy diverged from the words at size " << set.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CodeSet, RangeEntriesMatchScalarAcrossWidthsSizesAndRadii) {
+  const std::size_t sizes[] = {0, 5, kVerticalMinCodes - 1, kVerticalMinCodes,
+                               kVerticalMinCodes + 700};
+  for (std::size_t bits : kSetWidths) {
+    for (std::size_t n : sizes) {
+      const std::size_t flips = std::max<std::size_t>(2, bits / 16);
+      auto codes = RandomCodes(n, bits, /*seed=*/bits * 7919 + n,
+                               /*clusters=*/6, flips);
+      const auto set = CodeSet::FromCodes(codes).ValueOrDie();
+      ASSERT_EQ(set.size(), n);
+      ASSERT_TRUE(PlanesInStep(set, n >= kVerticalMinCodes));
+      // A stored code with its end bits flipped, so small radii hit.
+      BinaryCode query = n > 0 ? codes[n / 2] : RandomCodes(1, bits, bits)[0];
+      query.FlipBit(0);
+      query.FlipBit(bits - 1);
+      const std::vector<std::size_t> radii = {0, bits / 8, bits / 8 + 1, bits,
+                                              bits + 3};
+      const std::vector<const BinaryCode*> queries(radii.size(), &query);
+      for (Backend backend : BackendsUnderTest()) {
+        ScopedBackend pin(backend);
+        std::vector<SetAnswer> multi;
+        set.MultiWithinDistance(queries.data(), radii.data(), radii.size(),
+                                &multi);
+        ASSERT_EQ(multi.size(), radii.size());
+        for (std::size_t r = 0; r < radii.size(); ++r) {
+          const std::size_t h = radii[r];
+          std::vector<SlotDistance> single;
+          VerticalScanStats planes;
+          ASSERT_TRUE(set.WithinDistance(query, h, &single, &planes).ok());
+          ASSERT_TRUE(multi[r].status.ok());
+          EXPECT_EQ(single, ScalarRange(codes, query, h))
+              << BackendName(backend) << " bits=" << bits << " n=" << n
+              << " h=" << h;
+          EXPECT_EQ(multi[r].hits, single)
+              << BackendName(backend) << " bits=" << bits << " n=" << n
+              << " h=" << h;
+          // The plane scan answers exactly the queries the layout rule
+          // sends to it (n >= kVerticalMinCodes and h*8 <= bits); the
+          // rest leave the plane counters at zero.
+          const bool vertical = n >= kVerticalMinCodes && h * 8 <= bits;
+          EXPECT_EQ(planes.blocks_scanned,
+                    vertical ? set.planes()->num_blocks() : 0u)
+              << "bits=" << bits << " n=" << n << " h=" << h;
+          EXPECT_EQ(multi[r].planes.blocks_scanned, planes.blocks_scanned);
+          EXPECT_EQ(multi[r].planes.planes_scanned, planes.planes_scanned);
+        }
+      }
+    }
+  }
+}
+
+TEST(CodeSet, KnnMatchesScalarAndRefusesOtherWidths) {
+  for (std::size_t bits : {31ul, 64ul, 225ul}) {
+    for (std::size_t n : {0ul, 7ul, kVerticalMinCodes + 3}) {
+      auto codes = RandomCodes(n, bits, /*seed=*/bits + n, /*clusters=*/6);
+      const auto set = CodeSet::FromCodes(codes).ValueOrDie();
+      auto queries =
+          RandomCodes(4, bits, /*seed=*/bits * 3 + n, /*clusters=*/6);
+      const BinaryCode wrong(bits + 1);
+      const std::vector<const BinaryCode*> qptrs = {
+          &queries[0], &wrong, &queries[1], &queries[2], &queries[3]};
+      const std::vector<std::size_t> ks = {0, 3, 1, 10, n + 5};
+      for (Backend backend : BackendsUnderTest()) {
+        ScopedBackend pin(backend);
+        std::vector<SetAnswer> got;
+        set.MultiKnn(qptrs.data(), ks.data(), qptrs.size(), &got);
+        ASSERT_EQ(got.size(), qptrs.size());
+        // An empty set built from no codes has no width yet.
+        EXPECT_EQ(got[1].status.IsInvalidArgument(), n > 0);
+        for (std::size_t q : {0ul, 2ul, 3ul, 4ul}) {
+          ASSERT_TRUE(got[q].status.ok());
+          EXPECT_EQ(got[q].hits, ScalarKnn(codes, *qptrs[q], ks[q]))
+              << BackendName(backend) << " bits=" << bits << " n=" << n
+              << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(CodeSet, WidthIsFixedByResetOrFirstAppend) {
+  CodeSet set;
+  std::vector<SlotDistance> hits;
+  // No width yet: any query is answered, with no hits.
+  EXPECT_TRUE(set.WithinDistance(BinaryCode(64), 3, &hits).ok());
+  EXPECT_TRUE(hits.empty());
+  ASSERT_TRUE(set.Append(BinaryCode(64)).ok());
+  EXPECT_EQ(set.bits(), 64u);
+  // A refused append leaves the set unchanged.
+  EXPECT_TRUE(set.Append(BinaryCode(32)).IsInvalidArgument());
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(
+      set.WithinDistance(BinaryCode(32), 3, &hits).IsInvalidArgument());
+  // Reset fixes a new width, which even the empty set enforces.
+  set.Reset(32);
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(
+      set.WithinDistance(BinaryCode(64), 3, &hits).IsInvalidArgument());
+  EXPECT_TRUE(set.Append(BinaryCode(64)).IsInvalidArgument());
+  ASSERT_TRUE(set.Append(BinaryCode(32)).ok());
+  // In the multi entry a query of the wrong width fails alone.
+  const BinaryCode good(32);
+  const BinaryCode bad(31);
+  const std::vector<const BinaryCode*> queries = {&good, &bad, &good};
+  const std::vector<std::size_t> radii = {0, 0, 32};
+  std::vector<SetAnswer> answers;
+  set.MultiWithinDistance(queries.data(), radii.data(), queries.size(),
+                          &answers);
+  ASSERT_EQ(answers.size(), 3u);
+  EXPECT_TRUE(answers[0].status.ok());
+  EXPECT_EQ(answers[0].hits.size(), 1u);
+  EXPECT_TRUE(answers[1].status.IsInvalidArgument());
+  EXPECT_TRUE(answers[1].hits.empty());
+  EXPECT_TRUE(answers[2].status.ok());
+  EXPECT_EQ(answers[2].hits.size(), 1u);
+}
+
+TEST(CodeSet, ChurnAcrossTheFloorKeepsLayoutsInStep) {
+  for (std::size_t bits : {64ul, 65ul}) {
+    auto pool = RandomCodes(512, bits, /*seed=*/bits + 101, /*clusters=*/8,
+                            /*flip_bits=*/6);
+    Rng rng(bits * 13);
+    CodeSet set(bits);
+    std::vector<BinaryCode> model;
+    bool reached = false;  // the floor was reached since the last Reset
+    auto check_queries = [&] {
+      const BinaryCode& q = pool[model.size() % pool.size()];
+      for (std::size_t h : {bits / 8, bits / 8 + 1}) {
+        std::vector<SlotDistance> hits;
+        ASSERT_TRUE(set.WithinDistance(q, h, &hits).ok());
+        ASSERT_EQ(hits, ScalarRange(model, q, h))
+            << "bits=" << bits << " size=" << model.size() << " h=" << h;
+      }
+    };
+    // Grow past the floor, shrink back below it (the plane copy stays),
+    // grow past it again, Reset (the copy goes), then grow a little.
+    const std::size_t targets[] = {kVerticalMinCodes + 60,
+                                   kVerticalMinCodes - 100,
+                                   kVerticalMinCodes + 100, 0, 200};
+    for (std::size_t target : targets) {
+      if (target == 0) {
+        set.Reset(bits);
+        model.clear();
+        reached = false;
+        ASSERT_TRUE(PlanesInStep(set, false));
+        continue;
+      }
+      const bool growing = model.size() < target;
+      std::size_t step = 0;
+      while (model.size() != target) {
+        // Mostly toward the target, sometimes against it.
+        const bool append =
+            model.empty() || rng.Bernoulli(growing ? 0.75 : 0.25);
+        if (append) {
+          const BinaryCode& code = pool[static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+          ASSERT_TRUE(set.Append(code).ok());
+          model.push_back(code);
+        } else {
+          const auto i = static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(model.size()) - 1));
+          set.SwapRemove(i);
+          model[i] = model.back();
+          model.pop_back();
+        }
+        reached = reached || model.size() >= kVerticalMinCodes;
+        ASSERT_EQ(set.size(), model.size());
+        ASSERT_TRUE(PlanesInStep(set, reached)) << "bits=" << bits;
+        if (++step % 211 == 0) check_queries();
+      }
+      check_queries();
+      for (std::size_t i = 0; i < model.size(); i += 97) {
+        ASSERT_EQ(set.Get(i), model[i]) << "slot " << i;
+      }
+    }
+  }
+}
+
+TEST(CodeSet, SharedAcrossThreads) {
+  // Readers share one const set without locks: no const call builds or
+  // changes a layout. scripts/check.sh runs this under TSan.
+  const std::size_t bits = 64;
+  auto codes = RandomCodes(kVerticalMinCodes + 500, bits, /*seed=*/41,
+                           /*clusters=*/8);
+  const auto set = CodeSet::FromCodes(codes).ValueOrDie();
+  auto queries = RandomCodes(8, bits, /*seed=*/43, /*clusters=*/8);
+  std::vector<const BinaryCode*> qptrs;
+  std::vector<std::size_t> radii;
+  for (const auto& q : queries) {
+    qptrs.push_back(&q);
+    radii.push_back(qptrs.size() % 2 == 0 ? 3 : 12);  // planes / tile pass
+  }
+  const std::vector<std::size_t> ks(queries.size(), 5);
+  std::vector<SetAnswer> want_range;
+  std::vector<SetAnswer> want_knn;
+  set.MultiWithinDistance(qptrs.data(), radii.data(), qptrs.size(),
+                          &want_range);
+  set.MultiKnn(qptrs.data(), ks.data(), qptrs.size(), &want_knn);
+
+  constexpr std::size_t kTasks = 16;
+  std::vector<std::vector<SetAnswer>> got_range(kTasks);
+  std::vector<std::vector<SetAnswer>> got_knn(kTasks);
+  std::vector<std::vector<SlotDistance>> got_single(kTasks);
+  std::vector<Status> single_status(kTasks);
+  ThreadPool pool(4);
+  ParallelFor(&pool, kTasks, [&](std::size_t t) {
+    set.MultiWithinDistance(qptrs.data(), radii.data(), qptrs.size(),
+                            &got_range[t]);
+    set.MultiKnn(qptrs.data(), ks.data(), qptrs.size(), &got_knn[t]);
+    const std::size_t q = t % queries.size();
+    single_status[t] =
+        set.WithinDistance(queries[q], radii[q], &got_single[t]);
+  });
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(got_range[t][q].hits, want_range[q].hits) << "task " << t;
+      EXPECT_EQ(got_knn[t][q].hits, want_knn[q].hits) << "task " << t;
+    }
+    EXPECT_TRUE(single_status[t].ok());
+    EXPECT_EQ(got_single[t], want_range[t % queries.size()].hits);
+  }
 }
 
 TEST(LocalCounters, MergeLocalMatchesPerRecordAdds) {
