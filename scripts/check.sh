@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification: the tier-1 suite in Release, plus the kernel
 # differential tests under AddressSanitizer+UBSan in Debug (the batched
-# kernels do unaligned loads and tail handling worth checking hard), plus
+# kernels do unaligned loads and tail handling worth checking hard; the
+# Dynamic HA-Index suites, its width sweep and the Deserialize fuzz run
+# there too, for the arena's offset arithmetic and the layout pass), plus
 # the MapReduce attempt/speculation layer under ThreadSanitizer (backup
 # attempts, cancel tokens, and the commit race are cross-thread protocols).
 #
@@ -237,7 +239,7 @@ else
     >/dev/null
   cmake --build build-asan -j --target hamming_tests
   ./build-asan/tests/hamming_tests \
-    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:DynamicHAAudit.*'
+    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-asan/tests/hamming_tests \
     --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'

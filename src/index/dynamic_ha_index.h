@@ -1,14 +1,31 @@
 // Dynamic HA-Index (Sections 4.4 - 4.6): the paper's primary contribution.
 //
 // Structure. A forest whose leaves are the distinct binary codes of the
-// dataset (with a per-leaf hash table of tuple ids) and whose internal
-// nodes carry FLSSeq patterns (MaskedCode) shared by all leaves below.
-// Each node stores its *residual* pattern — the effective positions not
-// already covered by an ancestor — so the masks along any root-to-leaf
-// path partition the L bit positions and partial distances accumulated
-// down a path sum to the exact Hamming distance at the leaf. Pruning on
-// the accumulated distance is therefore safe (Proposition 1) and the leaf
+// dataset (with the tuple ids carrying each code) and whose internal
+// nodes carry FLSSeq patterns shared by all leaves below. Each node
+// stores its *residual* pattern — the effective positions not already
+// covered by an ancestor — so the masks along any root-to-leaf path
+// partition the L bit positions and partial distances accumulated down a
+// path sum to the exact Hamming distance at the leaf. Pruning on the
+// accumulated distance is therefore safe (Proposition 1) and the leaf
 // test needs no re-verification.
+//
+// Layout. The forest is one flat struct-of-arrays arena in breadth-first
+// order: the roots are nodes [0, R), and the children of each internal
+// node are one contiguous id range (CSR offsets), so siblings sit side by
+// side. Per node the arena holds
+//   * the residual (value, mask) over SignificantWords() words only — the
+//     lanes H-Search reads for every child it tests;
+//   * the cumulative pattern in a second lane array, for H-Build,
+//     JoinWith and leaf codes (a leaf's cumulative value is its code);
+//   * one range: an internal node's children, or a leaf's slice of the
+//     single tuple-id array;
+//   * its parent and frequency (live tuples below).
+// Every structural rebuild — H-Build, the insert-buffer flush, MergeFrom
+// and Deserialize — assembles a draft forest with explicit child lists
+// and ends in one layout pass. The pass numbers the reachable live nodes
+// in BFS order, recomputes internal frequencies, drops dead nodes, and
+// refuses a draft that reaches any node twice (a cycle or a shared child).
 //
 // H-Build (Algorithm 1). Codes are sorted in Gray order (Proposition 2:
 // neighbours share long FLSSeqs), then scanned with a sliding window of w
@@ -17,19 +34,23 @@
 // pattern are linked directly to the top level. Levels are built bottom-up
 // until the configured depth.
 //
-// H-Delete (Algorithm 2) walks down through bitmatch-ing nodes,
-// decrements frequencies, and removes nodes whose frequency reaches zero.
-// Insert (Section 4.5) goes to a temporary buffer; when the buffer fills,
-// an H-Build over the buffered tuples appends new subtrees.
+// H-Delete (Algorithm 2) finds the leaves matching the code on every
+// position, swap-removes the tuple id inside its leaf's range and
+// decrements frequencies up the parent chain. A node whose frequency
+// reaches zero keeps its slot with an empty range, so it yields nothing;
+// the next layout pass drops it. Insert (Section 4.5) goes to a temporary
+// buffer; when the buffer fills, an H-Build over the buffered tuples adds
+// new subtrees and the whole forest is laid out again (one pass over every
+// node per insert_flush_threshold inserts).
 //
-// H-Search (Algorithm 3) is a breadth-first traversal with a queue,
-// expanding a node's children only while the accumulated distance stays
-// within h, and collecting tuple ids at qualifying leaves.
+// H-Search (Algorithm 3) is a breadth-first walk over a flat frontier,
+// testing a node's children only while the accumulated distance stays
+// within h, and collecting tuple ids at qualifying leaves. Search,
+// SearchCodes, Delete and JoinWith's buffer probe share that one walk.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 
-#include "code/masked_code.h"
 #include "index/hamming_index.h"
 #include "kernels/code_set.h"
 
@@ -137,8 +158,10 @@ class DynamicHAIndex final : public HammingIndex {
   /// \brief Audits the SwapRemove-era cross-structure invariants after a
   /// mutation stream: the insert buffer's ids and codes agree slot for
   /// slot (and its bit-plane copy, when present, is the exact transpose
-  /// of its word lanes), every forest frequency equals the live tuples
-  /// below it, and size() equals leaves + buffer.
+  /// of its word lanes); in the arena, children follow and point back at
+  /// their parent, each residual is its pattern minus the parent's, dead
+  /// nodes have empty ranges, and every live frequency equals the live
+  /// tuples below it; size() equals leaves + buffer.
   /// Returns the first violated invariant; OK when consistent. Test and
   /// debug hook — walks the whole structure, not for hot paths.
   Status CheckConsistency() const;
@@ -155,36 +178,61 @@ class DynamicHAIndex final : public HammingIndex {
   const DynamicHAIndexOptions& options() const { return opts_; }
 
  private:
-  static constexpr int32_t kNoParent = -1;
+  // No node: a root's parent, an unset id.
+  static constexpr uint32_t kNoNode = UINT32_MAX;
 
-  struct Node {
-    MaskedCode residual;   // pattern positions not covered by ancestors
-    MaskedCode cumulative; // full subtree agreement (positions incl. anc.)
-    int32_t parent = kNoParent;
-    std::vector<uint32_t> children;
-    std::vector<TupleId> tuple_ids;  // leaves only, when store_tuple_ids
-    uint32_t frequency = 0;          // live tuples below
-    bool is_leaf = false;
-    bool alive = true;
+  /// Half-open range of node ids (an internal node's children) or of
+  /// tuple_ids_ slots (a leaf's tuples).
+  struct Range {
+    uint32_t begin = 0;
+    uint32_t end = 0;
   };
 
-  /// Runs Algorithm 1 over (code, ids) groups, appending nodes to nodes_
-  /// and new roots to roots_.
-  void BuildForest(
-      std::vector<std::pair<BinaryCode, std::vector<TupleId>>> groups);
+  /// A forest being assembled, in any node order with explicit child
+  /// lists; Layout turns it into the arena (defined in the .cc).
+  struct Draft;
 
-  uint32_t NewNode();
-  void ComputeResiduals(uint32_t root);
-  void FlushBuffer();
-  /// Removes `node` from its parent (or the root list) and propagates
-  /// frequency decrements / dead-node removal upward.
-  void DetachAndPropagate(uint32_t node, uint32_t count);
+  /// Words per (value, mask) lane pattern: SignificantWords() of a code.
+  std::size_t LaneWords() const { return (code_bits_ + 63) / 64; }
+
+  /// Runs Algorithm 1 over one batch of tuples, adding its leaves,
+  /// internal nodes and roots to `draft`.
+  void BuildInto(const std::vector<TupleId>& ids,
+                 const std::vector<BinaryCode>& codes, Draft* draft) const;
+  /// The arena as a draft: every node with its child list, so a rebuild
+  /// can add to it before the next layout.
+  Draft ToDraft() const;
+  /// Replaces the arena with the draft's reachable live nodes in BFS
+  /// order. IOError if the draft reaches a node twice or references a
+  /// node it does not hold.
+  Status Layout(Draft draft);
+  Status FlushBuffer();
+
+  /// H-Search: calls visit(leaf, distance) for every leaf within h of
+  /// `query`, in breadth-first order.
+  template <typename Visit>
+  void Walk(const BinaryCode& query, std::size_t h, obs::QueryStats* stats,
+            Visit&& visit) const;
+
+  /// A leaf's code (its cumulative value lanes).
+  BinaryCode LeafCode(uint32_t leaf) const;
+  /// Number of children of `node` with live tuples below them.
+  std::size_t LiveChildren(uint32_t node) const;
 
   DynamicHAIndexOptions opts_;
   std::size_t code_bits_ = 0;
   std::size_t num_tuples_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<uint32_t> roots_;
+  // The arena, one entry per node in BFS order. Pattern lanes hold
+  // 2 * LaneWords() words per node: word i's value at [2i], mask at
+  // [2i + 1].
+  std::vector<uint64_t> residual_;
+  std::vector<uint64_t> cumulative_;
+  std::vector<Range> range_;
+  std::vector<uint32_t> parent_;
+  std::vector<uint32_t> frequency_;
+  std::vector<uint8_t> is_leaf_;
+  std::vector<TupleId> tuple_ids_;  // every leaf's ids, by leaf range
+  uint32_t num_roots_ = 0;          // roots are nodes [0, num_roots_)
   // Insert buffer (Section 4.5): slot i holds tuple buffer_ids_[i] with
   // code buffer_codes_.Get(i), so the per-query buffer scan is one
   // CodeSet range call instead of one WithinDistance call per code.

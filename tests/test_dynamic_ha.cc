@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+
+#include "code/masked_code.h"
+#include "index/concurrent_ha_index.h"
 #include "index/linear_scan.h"
 #include "test_util.h"
 
@@ -316,6 +323,408 @@ TEST(DynamicHAIndex, WindowSizeSweepStaysExact) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Corrupt forests: the layout pass refuses a payload that reaches a node
+// twice, instead of handing a cyclic forest to the traversals.
+// ---------------------------------------------------------------------------
+
+// A payload of one-word (16-bit) nodes. Each node is (cumulative pattern,
+// children, tuple ids, frequency, leaf); the residual written is the
+// cumulative pattern, which Deserialize derives again anyway.
+struct PayloadNode {
+  MaskedCode pattern;
+  std::vector<uint64_t> children;
+  std::vector<uint64_t> ids;
+  uint64_t frequency;
+  bool leaf;
+};
+
+std::vector<uint8_t> ForestPayload(const std::vector<PayloadNode>& nodes,
+                                   const std::vector<uint64_t>& roots,
+                                   uint64_t num_tuples) {
+  BufferWriter w;
+  w.PutVarint64(1);  // store_tuple_ids
+  w.PutVarint64(8);  // window
+  w.PutVarint64(16);  // max_depth
+  w.PutVarint64(16);  // code bits
+  w.PutVarint64(num_tuples);
+  w.PutVarint64(nodes.size());
+  for (const auto& n : nodes) {
+    n.pattern.Serialize(&w);  // residual
+    n.pattern.Serialize(&w);  // cumulative
+    w.PutVarint64Signed(-1);
+    w.PutVarint64(n.children.size());
+    for (uint64_t c : n.children) w.PutVarint64(c);
+    w.PutVarint64(n.ids.size());
+    for (uint64_t id : n.ids) w.PutVarint64(id);
+    w.PutVarint64(n.frequency);
+    w.PutVarint64(n.leaf ? 1 : 0);
+  }
+  w.PutVarint64(roots.size());
+  for (uint64_t r : roots) w.PutVarint64(r);
+  w.PutVarint64(0);  // empty insert buffer
+  return w.Release();
+}
+
+MaskedCode Pattern(const char* dots) {
+  return MaskedCode::FromPattern(dots).ValueOrDie();
+}
+
+TEST(DynamicHAIndex, DeserializeRejectsCyclicForest) {
+  // One all-wildcard internal node whose only child is itself. Accepting
+  // it sent Search's BFS queue (and Stats, Memory, ExportTuples) around
+  // the cycle until the allocator gave up.
+  const auto bytes = ForestPayload(
+      {{Pattern("................"), {0}, {}, 1, false}}, {0}, 1);
+  BufferReader r(bytes);
+  auto got = DynamicHAIndex::Deserialize(&r);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsIOError()) << got.status();
+}
+
+TEST(DynamicHAIndex, DeserializeRejectsSharedChild) {
+  // Two internal roots list the same leaf; the walk would report its
+  // tuple twice and Delete would decrement only one parent chain.
+  const auto leaf = Pattern("0101010101010101");
+  const auto bytes = ForestPayload(
+      {{Pattern("01.............."), {2}, {}, 1, false},
+       {Pattern("0..............1"), {2}, {}, 1, false},
+       {leaf, {}, {7}, 1, true}},
+      {0, 1}, 1);
+  BufferReader r(bytes);
+  auto got = DynamicHAIndex::Deserialize(&r);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsIOError()) << got.status();
+
+  // The same forest with one parent per node loads and answers.
+  const auto ok_bytes = ForestPayload(
+      {{Pattern("01.............."), {1}, {}, 1, false},
+       {leaf, {}, {7}, 1, true}},
+      {0}, 1);
+  BufferReader ok_r(ok_bytes);
+  auto ok = DynamicHAIndex::Deserialize(&ok_r);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_TRUE(ok->CheckConsistency().ok());
+  EXPECT_EQ(ok->Search(leaf.value(), 0).ValueOrDie(),
+            std::vector<TupleId>{7});
+}
+
+TEST(DynamicHAIndex, DeserializeRejectsWrongTupleCount) {
+  const auto leaf = Pattern("0101010101010101");
+  const auto bytes = ForestPayload({{leaf, {}, {7}, 1, true}}, {0}, 2);
+  BufferReader r(bytes);
+  EXPECT_TRUE(DynamicHAIndex::Deserialize(&r).status().IsIOError());
+}
+
+TEST(DynamicHAIndex, LoadsDepthFirstPayload) {
+  // Table 2a's codes (window 2), tuple 1 deleted and tuple 9 buffered,
+  // serialized by the node-tree implementation the arena replaced: nodes
+  // in depth-first order. The byte format is unchanged, so the payload
+  // must load, lay out in BFS order and answer Example 1 as before.
+  const std::string hex =
+      "01021009080e0920000920000920000920000102080100070009800009c00009a000"
+      "09e0000002050200040009110009118009b10009f18002020403000200090400090e"
+      "0009b50009ff80040001060101090a00090e0009bb0009ff8004000104010109040009"
+      "140009a40009f40002020706000200090a80090b8009ae8009ff800a0001050101090"
+      "100090b8009a50009ff800a000103010109040009140009240009340000020c090003"
+      "00094200094b80096600097f8010020b0a00020009800009800009e60009ff80120001"
+      "07010109000009800009660009ff8012000102010109000009c00009240009f4001001"
+      "0d000100090100090b8009250009ff801800010001010100010909b180";
+  std::vector<uint8_t> bytes;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr,
+                                                   16)));
+  }
+  BufferReader r(bytes);
+  auto index = DynamicHAIndex::Deserialize(&r);
+  ASSERT_TRUE(index.ok()) << index.status();
+  ASSERT_TRUE(index->CheckConsistency().ok());
+  EXPECT_EQ(index->size(), 8u);
+  const auto stats = index->Stats();
+  EXPECT_EQ(stats.num_internal_nodes, 7u);
+  EXPECT_EQ(stats.num_leaves, 7u);
+  EXPECT_EQ(stats.num_edges, 13u);
+  EXPECT_EQ(stats.depth, 4u);
+  const auto q = BinaryCode::FromString("101100010").ValueOrDie();
+  auto hits = index->SearchWithDistances(q, 3).ValueOrDie();
+  std::sort(hits.begin(), hits.end());
+  const std::vector<std::pair<TupleId, uint32_t>> expect = {
+      {0, 3}, {3, 2}, {4, 2}, {6, 1}, {9, 1}};
+  EXPECT_EQ(hits, expect);
+}
+
+TEST(DynamicHAIndex, DeadNodesYieldNothingUntilTheNextLayout) {
+  // Deleting every tuple near one code kills its leaves (and parents whose
+  // whole subtree went) in place; they must vanish from every view at once.
+  auto codes = RandomCodes(300, 32, /*seed=*/17, /*clusters=*/6);
+  DynamicHAIndexOptions opts;
+  opts.insert_flush_threshold = 8;
+  DynamicHAIndex index(opts);
+  ASSERT_TRUE(index.Build(codes).ok());
+  const BinaryCode victim = codes[0];
+  std::vector<TupleId> kept;
+  for (TupleId id = 0; id < codes.size(); ++id) {
+    if (codes[id].Distance(victim) <= 4) {
+      ASSERT_TRUE(index.Delete(id, codes[id]).ok());
+    } else {
+      kept.push_back(id);
+    }
+  }
+  ASSERT_GE(kept.size(), 8u);
+  ASSERT_TRUE(index.CheckConsistency().ok());
+  EXPECT_TRUE(index.Search(victim, 2).ValueOrDie().empty());
+  EXPECT_TRUE(index.SearchCodes(victim, 2).ValueOrDie().empty());
+  EXPECT_EQ(index.ExportTuples().size(), kept.size());
+  // Until the next layout the dead nodes keep their slots, so a walk over
+  // the whole forest still tests them.
+  auto live = index.Stats();
+  obs::QueryStats walk;
+  ASSERT_TRUE(index.SearchWithDistances(victim, 32, &walk).ok());
+  EXPECT_GT(walk.signatures_enumerated,
+            live.num_internal_nodes + live.num_leaves);
+  // Inserts reaching the flush threshold lay the forest out again: the
+  // dead nodes are gone and the answers stay the same.
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(index.Insert(1000 + kept[i], codes[kept[i]]).ok());
+  }
+  ASSERT_TRUE(index.CheckConsistency().ok());
+  EXPECT_TRUE(index.Search(victim, 2).ValueOrDie().empty());
+  EXPECT_EQ(index.size(), kept.size() + 8);
+  live = index.Stats();
+  walk = obs::QueryStats();
+  ASSERT_TRUE(index.SearchWithDistances(victim, 32, &walk).ok());
+  EXPECT_EQ(walk.signatures_enumerated,
+            live.num_internal_nodes + live.num_leaves);
+}
+
+// ---------------------------------------------------------------------------
+// Width sweep: the arena's lane loop is specialised for 1- and 2-word
+// codes and generic above that, so every lifecycle stage is checked at
+// widths on both sides of each word boundary, against LinearScanIndex,
+// comparing (id, distance) sets.
+// ---------------------------------------------------------------------------
+
+using Hits = std::vector<std::pair<TupleId, uint32_t>>;
+using WidthParam = std::tuple<std::size_t, bool>;  // (bits, clustered)
+
+std::string WidthName(const ::testing::TestParamInfo<WidthParam>& info) {
+  return "b" + std::to_string(std::get<0>(info.param)) +
+         (std::get<1>(info.param) ? "_clustered" : "_uniform");
+}
+
+Hits RangeHits(const HammingIndex& index, const BinaryCode& q, std::size_t h) {
+  QueryRequest req = QueryRequest::Range(q, h);
+  QueryResponse resp;
+  EXPECT_TRUE(index.SearchBatch({&req, 1}, {&resp, 1}).ok());
+  EXPECT_TRUE(resp.status.ok()) << resp.status;
+  EXPECT_TRUE(resp.has_distances);
+  Hits out;
+  for (std::size_t i = 0; i < resp.ids.size() && i < resp.distances.size();
+       ++i) {
+    out.emplace_back(resp.ids[i], resp.distances[i]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class DynamicHAWidthTest : public ::testing::TestWithParam<WidthParam> {
+ protected:
+  std::size_t bits() const { return std::get<0>(GetParam()); }
+
+  std::vector<BinaryCode> Codes(std::size_t n, uint64_t seed) const {
+    return RandomCodes(n, bits(), seed + bits(),
+                       std::get<1>(GetParam()) ? 8 : 1);
+  }
+
+  std::vector<std::size_t> Radii() const {
+    return {0, 1, 3, bits() / 8, bits()};
+  }
+
+  // Fresh codes plus stored ones (guaranteed h = 0 hits).
+  std::vector<BinaryCode> Queries(const std::vector<BinaryCode>& stored) const {
+    auto q = Codes(8, 900);
+    for (std::size_t i = 0; i < stored.size(); i += stored.size() / 4) {
+      q.push_back(stored[i]);
+    }
+    return q;
+  }
+
+  void ExpectMatchesScan(const HammingIndex& index,
+                         const LinearScanIndex& truth,
+                         const std::vector<BinaryCode>& queries,
+                         const std::string& stage) const {
+    for (const auto& q : queries) {
+      for (std::size_t h : Radii()) {
+        EXPECT_EQ(RangeHits(index, q, h), RangeHits(truth, q, h))
+            << stage << " h=" << h;
+      }
+    }
+  }
+};
+
+TEST_P(DynamicHAWidthTest, LifecycleMatchesLinearScan) {
+  const auto codes = Codes(240, 100);
+  const auto more = Codes(100, 200);
+  const auto queries = Queries(codes);
+  DynamicHAIndexOptions opts;
+  opts.insert_flush_threshold = 64;
+  DynamicHAIndex index(opts);
+  LinearScanIndex truth;
+  ASSERT_TRUE(index.Build(codes).ok());
+  ASSERT_TRUE(truth.Build(codes).ok());
+  ASSERT_TRUE(index.CheckConsistency().ok());
+  ExpectMatchesScan(index, truth, queries, "build");
+
+  // 100 inserts cross the flush threshold once; 36 stay buffered.
+  auto code_of = [&](TupleId id) {
+    return id < codes.size() ? codes[id] : more[id - codes.size()];
+  };
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    const auto id = static_cast<TupleId>(codes.size() + i);
+    ASSERT_TRUE(index.Insert(id, more[i]).ok());
+    ASSERT_TRUE(truth.Insert(id, more[i]).ok());
+  }
+  ASSERT_TRUE(index.CheckConsistency().ok());
+  ExpectMatchesScan(index, truth, queries, "inserts");
+
+  // A third of the tuples go, from the forest and the buffer alike.
+  for (TupleId id = 0; id < codes.size() + more.size(); id += 3) {
+    ASSERT_TRUE(index.Delete(id, code_of(id)).ok()) << id;
+    ASSERT_TRUE(truth.Delete(id, code_of(id)).ok()) << id;
+  }
+  EXPECT_EQ(index.size(), truth.size());
+  ASSERT_TRUE(index.CheckConsistency().ok());
+  ExpectMatchesScan(index, truth, queries, "deletes");
+
+  BufferWriter w;
+  index.Serialize(&w);
+  BufferReader r(w.buffer());
+  auto back = DynamicHAIndex::Deserialize(&r);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_TRUE(back->CheckConsistency().ok());
+  EXPECT_EQ(back->size(), truth.size());
+  ExpectMatchesScan(*back, truth, queries, "round trip");
+}
+
+TEST_P(DynamicHAWidthTest, MergeOfTwoHalvesMatchesLinearScan) {
+  const auto codes = Codes(300, 300);
+  const auto extra = Codes(20, 400);
+  const std::size_t half = codes.size() / 2;
+  std::vector<TupleId> ids_a, ids_b;
+  std::vector<BinaryCode> codes_a, codes_b;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    (i < half ? ids_a : ids_b).push_back(static_cast<TupleId>(i));
+    (i < half ? codes_a : codes_b).push_back(codes[i]);
+  }
+  DynamicHAIndex a, b;
+  ASSERT_TRUE(a.BuildWithIds(ids_a, codes_a).ok());
+  ASSERT_TRUE(b.BuildWithIds(ids_b, codes_b).ok());
+  LinearScanIndex truth;
+  ASSERT_TRUE(truth.Build(codes).ok());
+  // The merged side also carries buffered inserts.
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    const auto id = static_cast<TupleId>(codes.size() + i);
+    ASSERT_TRUE(b.Insert(id, extra[i]).ok());
+    ASSERT_TRUE(truth.Insert(id, extra[i]).ok());
+  }
+  ASSERT_TRUE(a.MergeFrom(b).ok());
+  EXPECT_EQ(a.size(), truth.size());
+  ASSERT_TRUE(a.CheckConsistency().ok());
+  ExpectMatchesScan(a, truth, Queries(codes), "merge");
+}
+
+TEST_P(DynamicHAWidthTest, ConcurrentIndexWithDeltaAndTombstones) {
+  const auto codes = Codes(240, 500);
+  const auto more = Codes(60, 600);
+  ConcurrentHAIndexOptions opts;
+  opts.rebuild_threshold = 1 << 20;  // keep the delta and the tombstones
+  ConcurrentHAIndex index(opts);
+  LinearScanIndex truth;
+  ASSERT_TRUE(index.Build(codes).ok());
+  ASSERT_TRUE(truth.Build(codes).ok());
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    const auto id = static_cast<TupleId>(codes.size() + i);
+    ASSERT_TRUE(index.Insert(id, more[i]).ok());
+    ASSERT_TRUE(truth.Insert(id, more[i]).ok());
+  }
+  // Base-resident deletes become tombstones; delta deletes swap-remove.
+  for (TupleId id = 0; id < codes.size(); id += 3) {
+    ASSERT_TRUE(index.Delete(id, codes[id]).ok());
+    ASSERT_TRUE(truth.Delete(id, codes[id]).ok());
+  }
+  for (std::size_t i = 0; i < more.size(); i += 4) {
+    const auto id = static_cast<TupleId>(codes.size() + i);
+    ASSERT_TRUE(index.Delete(id, more[i]).ok());
+    ASSERT_TRUE(truth.Delete(id, more[i]).ok());
+  }
+  EXPECT_EQ(index.size(), truth.size());
+  ExpectMatchesScan(index, truth, Queries(codes), "concurrent");
+}
+
+TEST_P(DynamicHAWidthTest, LeaflessSearchCodesMatchesLinearScan) {
+  const auto codes = Codes(240, 700);
+  const auto more = Codes(80, 800);
+  DynamicHAIndexOptions opts;
+  opts.store_tuple_ids = false;
+  opts.insert_flush_threshold = 64;
+  DynamicHAIndex index(opts);
+  ASSERT_TRUE(index.Build(codes).ok());
+  std::vector<BinaryCode> all = codes;
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    ASSERT_TRUE(index.Insert(static_cast<TupleId>(all.size()), more[i]).ok());
+    all.push_back(more[i]);
+  }
+  ASSERT_TRUE(index.CheckConsistency().ok());
+  for (const auto& q : Queries(codes)) {
+    for (std::size_t h : Radii()) {
+      std::set<std::string> got, expect;
+      for (const auto& c : index.SearchCodes(q, h).ValueOrDie()) {
+        got.insert(c.ToString());
+      }
+      for (const auto& c : all) {
+        if (c.Distance(q) <= h) expect.insert(c.ToString());
+      }
+      EXPECT_EQ(got, expect) << "h=" << h;
+    }
+  }
+}
+
+TEST_P(DynamicHAWidthTest, JoinWithMatchesNestedLoops) {
+  const auto r_codes = Codes(80, 1000);
+  const auto s_codes = Codes(90, 1100);
+  // Both sides keep their last 20 tuples in the insert buffer.
+  DynamicHAIndex r_index, s_index;
+  auto load = [](DynamicHAIndex* index, const std::vector<BinaryCode>& codes) {
+    const std::size_t built = codes.size() - 20;
+    std::vector<BinaryCode> head(codes.begin(), codes.begin() + built);
+    ASSERT_TRUE(index->Build(head).ok());
+    for (std::size_t i = built; i < codes.size(); ++i) {
+      ASSERT_TRUE(index->Insert(static_cast<TupleId>(i), codes[i]).ok());
+    }
+  };
+  load(&r_index, r_codes);
+  load(&s_index, s_codes);
+  for (std::size_t h : Radii()) {
+    auto pairs = r_index.JoinWith(s_index, h).ValueOrDie();
+    std::sort(pairs.begin(), pairs.end());
+    std::vector<JoinPair> truth;
+    for (std::size_t i = 0; i < r_codes.size(); ++i) {
+      for (std::size_t j = 0; j < s_codes.size(); ++j) {
+        if (r_codes[i].Distance(s_codes[j]) <= h) {
+          truth.push_back({static_cast<TupleId>(i), static_cast<TupleId>(j)});
+        }
+      }
+    }
+    EXPECT_EQ(pairs, truth) << "h=" << h;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, DynamicHAWidthTest,
+    ::testing::Combine(::testing::Values(1, 31, 63, 65, 128, 225, 512),
+                       ::testing::Bool()),
+    WidthName);
 
 }  // namespace
 }  // namespace hamming

@@ -160,6 +160,33 @@ TEST_F(StorageTest, TableRoundTripCodesOnly) {
   EXPECT_FALSE(back.has_features());
 }
 
+// Every payload Deserialize accepts must be safe to traverse and pass the
+// index's own invariant audit. Returns whether the payload loaded.
+bool LoadAndTraverse(const std::vector<uint8_t>& bytes) {
+  BufferReader r(bytes);
+  auto idx = DynamicHAIndex::Deserialize(&r);
+  if (!idx.ok()) {
+    EXPECT_FALSE(idx.status().ToString().empty());
+    return false;
+  }
+  std::vector<BinaryCode> queries = {BinaryCode(32)};
+  const auto tuples = idx->ExportTuples();
+  EXPECT_LE(tuples.size(), idx->size());
+  if (!tuples.empty()) queries.push_back(tuples.front().second);
+  for (const auto& q : queries) {
+    for (std::size_t h : {0, 3, 512}) {
+      auto got = idx->SearchWithDistances(q, h);
+      if (got.ok()) {
+        EXPECT_LE(got->size(), idx->size());
+      }
+    }
+  }
+  const auto stats = idx->Stats();
+  EXPECT_LE(stats.num_leaves, idx->size());
+  EXPECT_TRUE(idx->CheckConsistency().ok()) << idx->CheckConsistency();
+  return true;
+}
+
 TEST_F(StorageTest, FuzzDeserializeNeverCrashes) {
   // Random byte soup must come back as a clean error, never UB.
   Rng rng(99);
@@ -167,13 +194,50 @@ TEST_F(StorageTest, FuzzDeserializeNeverCrashes) {
     std::vector<uint8_t> junk(static_cast<std::size_t>(
         rng.UniformInt(0, 300)));
     for (auto& b : junk) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
-    BufferReader r(junk);
-    auto idx = DynamicHAIndex::Deserialize(&r);
-    // ok() or clean error are both acceptable; no crash is the property.
-    if (!idx.ok()) {
-      EXPECT_FALSE(idx.status().ToString().empty());
+    LoadAndTraverse(junk);
+  }
+
+  // Soup rarely parses past the header, so most trials start from valid
+  // payloads (leafful with deletes and buffered inserts, leafless, and a
+  // two-word width) and truncate them or flip bytes in them.
+  std::vector<std::vector<uint8_t>> valid;
+  for (const auto& [bits, leafless] :
+       {std::pair<std::size_t, bool>{32, false}, {32, true}, {65, false}}) {
+    DynamicHAIndexOptions opts;
+    opts.store_tuple_ids = !leafless;
+    DynamicHAIndex index(opts);
+    auto codes = testutil::RandomCodes(60, bits, /*seed=*/7, /*clusters=*/4);
+    EXPECT_TRUE(index.Build(codes).ok());
+    for (TupleId id = 0; !leafless && id < 12; id += 2) {
+      EXPECT_TRUE(index.Delete(id, codes[id]).ok());
+    }
+    for (TupleId id = 0; id < 5; ++id) {
+      EXPECT_TRUE(index.Insert(100 + id, codes[id]).ok());
+    }
+    BufferWriter w;
+    index.Serialize(&w);
+    valid.push_back(w.Release());
+  }
+  std::size_t loaded = 0;
+  for (const auto& bytes : valid) {
+    ASSERT_TRUE(LoadAndTraverse(bytes));
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      LoadAndTraverse(
+          std::vector<uint8_t>(bytes.begin(), bytes.begin() + len));
+    }
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<uint8_t> flipped = bytes;
+      const int flips = static_cast<int>(rng.UniformInt(1, 3));
+      for (int f = 0; f < flips; ++f) {
+        const auto at = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+        flipped[at] ^= static_cast<uint8_t>(rng.UniformInt(1, 255));
+      }
+      loaded += LoadAndTraverse(flipped) ? 1 : 0;
     }
   }
+  // Enough mutants load to reach the traversals and the audit.
+  EXPECT_GT(loaded, 100u);
 }
 
 // ---------------------------------------------------------------------------
