@@ -102,23 +102,31 @@ int Query(const char* index_path, const char* code_str, const char* h_str) {
     std::fprintf(stderr, "threshold must be non-negative\n");
     return 1;
   }
+  const QueryRequest req =
+      QueryRequest::Range(*code, static_cast<std::size_t>(h));
+  QueryResponse resp;
   obs::Stopwatch watch;
-  auto result =
-      index->SearchWithDistances(*code, static_cast<std::size_t>(h));
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  Status st = index->SearchBatch({&req, 1}, {&resp, 1});
+  if (st.ok()) st = resp.status;
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
   double ms = watch.ElapsedMillis();
-  std::sort(result->begin(), result->end(),
+  // The HA-Index reports each match's exact distance (has_distances).
+  std::vector<std::pair<TupleId, uint32_t>> matches;
+  for (std::size_t i = 0; i < resp.ids.size(); ++i) {
+    matches.emplace_back(resp.ids[i], resp.distances[i]);
+  }
+  std::sort(matches.begin(), matches.end(),
             [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second < b.second;
               return a.first < b.first;
             });
-  for (const auto& [id, dist] : *result) {
+  for (const auto& [id, dist] : matches) {
     std::printf("%u\t%u\n", id, dist);
   }
-  std::fprintf(stderr, "%zu matches in %.3f ms\n", result->size(), ms);
+  std::fprintf(stderr, "%zu matches in %.3f ms\n", matches.size(), ms);
   return 0;
 }
 

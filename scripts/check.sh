@@ -3,9 +3,12 @@
 # differential tests under AddressSanitizer+UBSan in Debug (the batched
 # kernels do unaligned loads and tail handling worth checking hard; the
 # Dynamic HA-Index suites, its width sweep and the Deserialize fuzz run
-# there too, for the arena's offset arithmetic and the layout pass), plus
-# the MapReduce attempt/speculation layer under ThreadSanitizer (backup
-# attempts, cancel tokens, and the commit race are cross-thread protocols).
+# there too, for the arena's offset arithmetic and the layout pass, and
+# so do the batch query suites (BatchApi, IndexKnn, ConcurrentIndex*),
+# whose default loops write into reused responses and whose snapshot
+# plan compacts ids and distances in place), plus the MapReduce
+# attempt/speculation layer under ThreadSanitizer (backup attempts,
+# cancel tokens, and the commit race are cross-thread protocols).
 #
 # Each sanitizer also re-runs the MapReduce and fault-tolerance suites
 # with HAMMING_SHUFFLE_BUDGET=65536, which forces every job through the
@@ -239,7 +242,7 @@ else
     >/dev/null
   cmake --build build-asan -j --target hamming_tests
   ./build-asan/tests/hamming_tests \
-    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*'
+    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*:BatchApi.*:IndexKnn.*:ConcurrentIndex*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-asan/tests/hamming_tests \
     --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'

@@ -10,70 +10,50 @@ namespace hamming {
 // Snapshot: immutable reads over (base, delta, tombstones)
 // ---------------------------------------------------------------------------
 
-Result<std::vector<TupleId>> ConcurrentHAIndex::Snapshot::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  HAMMING_ASSIGN_OR_RETURN(auto pairs, SearchWithDistances(query, h, stats));
-  std::vector<TupleId> out;
-  out.reserve(pairs.size());
-  for (const auto& [id, dist] : pairs) out.push_back(id);
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-ConcurrentHAIndex::Snapshot::SearchWithDistances(const BinaryCode& query,
-                                                 std::size_t h,
-                                                 obs::QueryStats* stats) const {
-  HAMMING_ASSIGN_OR_RETURN(auto out,
-                           base_->SearchWithDistances(query, h, stats));
-  // Deletes against the frozen base are tombstones; filter them out
-  // before appending delta matches so a reinserted id cannot appear
-  // twice (its tombstone hides the base copy, the delta carries the
-  // live one).
-  if (!tombstones_.empty()) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (tombstones_.count(out[i].first) == 0) out[kept++] = out[i];
-    }
-    out.resize(kept);
-  }
-  std::vector<kernels::SlotDistance> hits;
-  kernels::VerticalScanStats planes;
-  HAMMING_RETURN_NOT_OK(inserts_.WithinDistance(query, h, &hits, &planes));
-  for (const auto& hit : hits) {
-    out.emplace_back(insert_ids_[hit.slot], hit.dist);
-  }
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += insert_ids_.size();
-    stats->exact_distance_computations += insert_ids_.size();
-    stats->results += out.size();
-    stats->planes_scanned += planes.planes_scanned;
-    stats->blocks_pruned += planes.blocks_pruned;
-  }
-  return out;
-}
-
 Status ConcurrentHAIndex::Snapshot::SearchBatch(
     std::span<const QueryRequest> requests,
     std::span<QueryResponse> responses) const {
-  HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
+  HAMMING_RETURN_NOT_OK(base_->SearchBatch(requests, responses));
+  std::vector<kernels::SlotDistance> hits;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
-    resp.Clear();
-    auto got =
-        SearchWithDistances(requests[i].code, requests[i].h, &resp.stats);
-    if (!got.ok()) {
-      resp.status = got.status();
+    if (!resp.status.ok()) continue;
+    // Deletes against the frozen base are tombstones; filter them out
+    // before appending delta matches so a reinserted id cannot appear
+    // twice (its tombstone hides the base copy, the delta carries the
+    // live one).
+    if (!tombstones_.empty()) {
+      std::size_t kept = 0;
+      for (std::size_t j = 0; j < resp.ids.size(); ++j) {
+        if (tombstones_.count(resp.ids[j]) != 0) continue;
+        resp.ids[kept] = resp.ids[j];
+        resp.distances[kept] = resp.distances[j];
+        ++kept;
+      }
+      resp.ids.resize(kept);
+      resp.distances.resize(kept);
+    }
+    kernels::VerticalScanStats planes;
+    Status st = inserts_.WithinDistance(requests[i].code, requests[i].h,
+                                        &hits, &planes);
+    if (!st.ok()) {
+      resp.ids.clear();
+      resp.distances.clear();
+      resp.has_distances = false;
+      resp.status = std::move(st);
       continue;
     }
-    auto pairs = std::move(got).ValueOrDie();
-    resp.ids.reserve(pairs.size());
-    resp.distances.reserve(pairs.size());
-    for (const auto& [id, dist] : pairs) {
-      resp.ids.push_back(id);
-      resp.distances.push_back(dist);
+    for (const auto& hit : hits) {
+      resp.ids.push_back(insert_ids_[hit.slot]);
+      resp.distances.push_back(hit.dist);
     }
-    resp.has_distances = true;
+    obs::QueryStats& stats = resp.stats;
+    ++stats.kernel_batch_calls;
+    stats.candidates_generated += insert_ids_.size();
+    stats.exact_distance_computations += insert_ids_.size();
+    stats.results += resp.ids.size();
+    stats.planes_scanned += planes.planes_scanned;
+    stats.blocks_pruned += planes.blocks_pruned;
   }
   return Status::OK();
 }
@@ -248,11 +228,6 @@ Status ConcurrentHAIndex::PublishLocked() {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> ConcurrentHAIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  return Pin()->Search(query, h, stats);
-}
-
 Status ConcurrentHAIndex::SearchBatch(std::span<const QueryRequest> requests,
                                       std::span<QueryResponse> responses) const {
   // The pin itself is the interesting serving span: it is where a batch
@@ -273,11 +248,6 @@ Status ConcurrentHAIndex::KnnBatch(std::span<const QueryRequest> requests,
   pin_span.SetDetail(snap->epoch());
   pin_span.End();
   return snap->KnnBatch(requests, responses);
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>> ConcurrentHAIndex::Knn(
-    const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  return Pin()->Knn(query, k, stats);
 }
 
 std::size_t ConcurrentHAIndex::size() const { return Pin()->size(); }

@@ -73,10 +73,11 @@ class ConcurrentHAIndex final : public HammingIndex {
   /// \brief One published epoch: an immutable (base, delta, tombstones)
   /// triple that is itself a complete HammingIndex for reads.
   ///
-  /// Search = base H-Search minus tombstoned ids, plus a batched-kernel
-  /// scan of the delta inserts — exactly the base DynamicHA plan with
-  /// the delta standing in for its (frozen, empty-at-build) insert
-  /// buffer. Mutating entry points fail with NotImplemented.
+  /// A range query = base H-Search minus tombstoned ids, plus a
+  /// batched-kernel scan of the delta inserts — exactly the base
+  /// DynamicHA plan with the delta standing in for its (frozen,
+  /// empty-at-build) insert buffer. Mutating entry points fail with
+  /// NotImplemented.
   class Snapshot final : public HammingIndex {
    public:
     std::string name() const override { return "CHA-Snapshot"; }
@@ -95,19 +96,12 @@ class ConcurrentHAIndex final : public HammingIndex {
     }
     bool SupportsDynamicUpdates() const override { return false; }
 
-    Result<std::vector<TupleId>> Search(
-        const BinaryCode& query, std::size_t h,
-        obs::QueryStats* stats = nullptr) const override;
-
-    /// \brief Range search with exact per-match distances (the base
-    /// H-Search knows them at the leaves; the delta scan computes them).
-    Result<std::vector<std::pair<TupleId, uint32_t>>> SearchWithDistances(
-        const BinaryCode& query, std::size_t h,
-        obs::QueryStats* stats = nullptr) const;
-
-    /// \brief Native batch plan: per-request SearchWithDistances, so
-    /// responses carry has_distances and the inherited Knn/KnnBatch
-    /// expand geometrically — entirely within this one epoch.
+    /// \brief The base answers the whole batch; each response then
+    /// drops its tombstoned ids and gains its delta matches. Every
+    /// response carries exact per-match distances (the base H-Search
+    /// knows them at the leaves; the delta scan computes them), so the
+    /// inherited KnnBatch expands geometrically — entirely within this
+    /// one epoch.
     Status SearchBatch(std::span<const QueryRequest> requests,
                        std::span<QueryResponse> responses) const override;
 
@@ -158,16 +152,10 @@ class ConcurrentHAIndex final : public HammingIndex {
   // Readers: each entry point pins the current snapshot exactly once
   // and delegates, so a batch (or a whole kNN radius expansion) sees
   // one epoch.
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
   Status KnnBatch(std::span<const QueryRequest> requests,
                   std::span<QueryResponse> responses) const override;
-  Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
-      const BinaryCode& query, std::size_t k,
-      obs::QueryStats* stats = nullptr) const override;
 
   /// \brief Size / memory of the *published* snapshot (what readers
   /// see), not of unpublished pending mutations.

@@ -551,31 +551,22 @@ Status DynamicHAIndex::Delete(TupleId id, const BinaryCode& code) {
 // Queries
 // ---------------------------------------------------------------------------
 
-Result<std::vector<TupleId>> DynamicHAIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  HAMMING_ASSIGN_OR_RETURN(auto pairs, SearchWithDistances(query, h, stats));
-  std::vector<TupleId> out;
-  out.reserve(pairs.size());
-  for (const auto& [id, dist] : pairs) out.push_back(id);
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-DynamicHAIndex::SearchWithDistances(const BinaryCode& query, std::size_t h,
-                                    obs::QueryStats* stats) const {
+Status DynamicHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
+                                 QueryResponse* out) const {
   if (!opts_.store_tuple_ids) {
     return Status::NotImplemented(
-        "Search requires tuple ids; use SearchCodes on a leafless index");
+        "SearchBatch requires tuple ids; use SearchCodes on a leafless index");
   }
   if (code_bits_ != 0 && query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
-  std::vector<std::pair<TupleId, uint32_t>> out;
+  obs::QueryStats& stats = out->stats;
   std::size_t candidates = 0;
-  Walk(query, h, stats, [&](uint32_t leaf, uint32_t dist) {
+  Walk(query, h, &stats, [&](uint32_t leaf, uint32_t dist) {
     const Range r = range_[leaf];
     for (uint32_t i = r.begin; i < r.end; ++i) {
-      out.emplace_back(tuple_ids_[i], dist);
+      out->ids.push_back(tuple_ids_[i]);
+      out->distances.push_back(dist);
     }
     candidates += r.end - r.begin;
   });
@@ -585,40 +576,16 @@ DynamicHAIndex::SearchWithDistances(const BinaryCode& query, std::size_t h,
   kernels::VerticalScanStats planes;
   HAMMING_RETURN_NOT_OK(buffer_codes_.WithinDistance(query, h, &hits, &planes));
   for (const auto& hit : hits) {
-    out.emplace_back(buffer_ids_[hit.slot], hit.dist);
+    out->ids.push_back(buffer_ids_[hit.slot]);
+    out->distances.push_back(hit.dist);
   }
-  if (stats != nullptr) {
-    ++stats->kernel_batch_calls;
-    stats->candidates_generated += candidates + buffer_ids_.size();
-    stats->exact_distance_computations += buffer_ids_.size();
-    stats->results += out.size();
-    stats->planes_scanned += planes.planes_scanned;
-    stats->blocks_pruned += planes.blocks_pruned;
-  }
-  return out;
-}
-
-Status DynamicHAIndex::SearchBatch(std::span<const QueryRequest> requests,
-                                   std::span<QueryResponse> responses) const {
-  HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    QueryResponse& resp = responses[i];
-    resp.Clear();
-    auto got =
-        SearchWithDistances(requests[i].code, requests[i].h, &resp.stats);
-    if (!got.ok()) {
-      resp.status = got.status();
-      continue;
-    }
-    auto pairs = std::move(got).ValueOrDie();
-    resp.ids.reserve(pairs.size());
-    resp.distances.reserve(pairs.size());
-    for (const auto& [id, dist] : pairs) {
-      resp.ids.push_back(id);
-      resp.distances.push_back(dist);
-    }
-    resp.has_distances = true;
-  }
+  out->has_distances = true;
+  ++stats.kernel_batch_calls;
+  stats.candidates_generated += candidates + buffer_ids_.size();
+  stats.exact_distance_computations += buffer_ids_.size();
+  stats.results += out->ids.size();
+  stats.planes_scanned += planes.planes_scanned;
+  stats.blocks_pruned += planes.blocks_pruned;
   return Status::OK();
 }
 

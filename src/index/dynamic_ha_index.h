@@ -45,8 +45,9 @@
 //
 // H-Search (Algorithm 3) is a breadth-first walk over a flat frontier,
 // testing a node's children only while the accumulated distance stays
-// within h, and collecting tuple ids at qualifying leaves. Search,
-// SearchCodes, Delete and JoinWith's buffer probe share that one walk.
+// within h, and collecting tuple ids at qualifying leaves. The range
+// query, SearchCodes, Delete and JoinWith's buffer probe share that one
+// walk.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +76,7 @@ struct DynamicHAIndexOptions {
   /// Buffered inserts accumulated before an incremental H-Build.
   std::size_t insert_flush_threshold = 1024;
   /// When false the index keeps no tuple-id hash tables at the leaves:
-  /// Search is unavailable but SearchCodes still works. This is the
+  /// SearchBatch is unavailable but SearchCodes still works. This is the
   /// leafless mode Section 5.3's MapReduce Option B broadcasts.
   bool store_tuple_ids = true;
 };
@@ -103,30 +104,10 @@ class DynamicHAIndex final : public HammingIndex {
   Status BuildWithIds(const std::vector<TupleId>& ids,
                       const std::vector<BinaryCode>& codes);
 
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return num_tuples_; }
   MemoryBreakdown Memory() const override;
-
-  /// \brief Like Search but also reports each tuple's exact Hamming
-  /// distance (H-Search knows it at the leaf for free — the accumulated
-  /// residual distances sum to the full distance). Used by the kNN plans
-  /// to rank candidates without a second pass.
-  Result<std::vector<std::pair<TupleId, uint32_t>>> SearchWithDistances(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const;
-
-  /// \brief Native batch range plan: routes every request through
-  /// SearchWithDistances, so each response carries per-match exact
-  /// distances (`has_distances`) at no extra traversal cost — H-Search
-  /// already knows the full distance at each qualifying leaf. That lets
-  /// the default Knn expand the radius geometrically (O(log L) rounds)
-  /// instead of h += 1.
-  Status SearchBatch(std::span<const QueryRequest> requests,
-                     std::span<QueryResponse> responses) const override;
 
   /// \brief Qualifying distinct *codes* within distance h (works in
   /// leafless mode; used by MapReduce Option B, Section 5.3).
@@ -176,6 +157,15 @@ class DynamicHAIndex final : public HammingIndex {
   static Result<DynamicHAIndex> Deserialize(BufferReader* r);
 
   const DynamicHAIndexOptions& options() const { return opts_; }
+
+ protected:
+  /// \brief H-Search plus the insert-buffer scan for one range query.
+  /// Every response carries per-match exact distances (`has_distances`)
+  /// at no extra traversal cost — the accumulated residual distances at
+  /// a qualifying leaf sum to the full distance — which lets the default
+  /// KnnBatch expand the radius geometrically (O(log L) rounds).
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* out) const override;
 
  private:
   // No node: a root's parent, an unset id.

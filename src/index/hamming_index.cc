@@ -14,17 +14,23 @@ Status HammingIndex::CheckBatchSpans(std::span<const QueryRequest> requests,
   return Status::OK();
 }
 
+Status HammingIndex::SearchOne(const BinaryCode&, std::size_t,
+                               QueryResponse*) const {
+  return Status::NotImplemented(name() + " has no per-query range hook");
+}
+
 Status HammingIndex::SearchBatch(std::span<const QueryRequest> requests,
                                  std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
     resp.Clear();
-    auto got = Search(requests[i].code, requests[i].h, &resp.stats);
-    if (got.ok()) {
-      resp.ids = std::move(got).ValueOrDie();
-    } else {
-      resp.status = got.status();
+    Status st = SearchOne(requests[i].code, requests[i].h, &resp);
+    if (!st.ok()) {
+      resp.ids.clear();
+      resp.distances.clear();
+      resp.has_distances = false;
+      resp.status = std::move(st);
     }
   }
   return Status::OK();
@@ -36,83 +42,73 @@ Status HammingIndex::KnnBatch(std::span<const QueryRequest> requests,
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
     resp.Clear();
-    auto got = Knn(requests[i].code, requests[i].k, &resp.stats);
-    if (got.ok()) {
-      resp.neighbors = std::move(got).ValueOrDie();
-    } else {
-      resp.status = got.status();
+    Status st = KnnByExpansion(requests[i].code, requests[i].k, &resp);
+    if (!st.ok()) {
+      resp.neighbors.clear();
+      resp.status = std::move(st);
     }
   }
   return Status::OK();
 }
 
-Result<std::vector<std::pair<TupleId, uint32_t>>> HammingIndex::Knn(
-    const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  if (k == 0 || size() == 0) return out;
+Status HammingIndex::KnnByExpansion(const BinaryCode& query, std::size_t k,
+                                    QueryResponse* out) const {
+  if (k == 0 || size() == 0) return Status::OK();
   // k >= size() degenerates to "every tuple with its distance": target
   // caps at size() so the expansion stops the moment all tuples have
   // been seen instead of probing the remaining radii.
   const std::size_t target = std::min(k, size());
   // No two L-bit codes are farther than L apart, so an index whose
-  // Search is incomplete at large radii can under-fill the result but
-  // can never drive the expansion past h = L.
+  // range query is incomplete at large radii can under-fill the result
+  // but can never drive the expansion past h = L.
   const std::size_t max_radius = query.size();
 
   QueryRequest req = QueryRequest::Range(query, 0);
   QueryResponse resp;
 
-  // Legacy h += 1 expansion state: Search(h) is a superset of
-  // Search(h-1), so an id's first-seen radius is its exact Hamming
-  // distance — valid only while every step so far was +1.
+  // h += 1 expansion state: the answer at h is a superset of the answer
+  // at h-1, so an id's first-seen radius is its exact Hamming distance —
+  // valid only while every step so far was +1.
   bool first_seen_valid = true;
   std::unordered_set<TupleId> seen;
-  std::vector<std::pair<TupleId, uint32_t>> by_first_seen;
-
-  auto record_round = [&](std::size_t rounds_prior_results) {
-    if (stats == nullptr) return;
-    ++stats->radius_expansions;
-    // Everything an earlier round returned is re-scanned (and
-    // re-returned) by this one: the pure waste of radius expansion.
-    stats->rescanned_results += rounds_prior_results;
-    *stats += resp.stats;
-  };
+  std::vector<std::pair<TupleId, uint32_t>>& found = out->neighbors;
 
   std::size_t h = 0;
   std::size_t prior_results = 0;
   while (true) {
     req.h = h;
-    resp.Clear();
     HAMMING_RETURN_NOT_OK(SearchBatch({&req, 1}, {&resp, 1}));
     HAMMING_RETURN_NOT_OK(resp.status);
-    record_round(prior_results);
+    ++out->stats.radius_expansions;
+    // Everything an earlier round returned is re-scanned (and
+    // re-returned) by this one: the pure waste of radius expansion.
+    out->stats.rescanned_results += prior_results;
+    out->stats += resp.stats;
 
     if (resp.has_distances) {
       // Every tuple within h is present with its exact distance; with
       // >= target of them the k nearest overall are all here.
       if (resp.ids.size() >= target || h >= max_radius) {
-        out.reserve(resp.ids.size());
+        found.clear();
+        found.reserve(resp.ids.size());
         for (std::size_t i = 0; i < resp.ids.size(); ++i) {
-          out.emplace_back(resp.ids[i], resp.distances[i]);
+          found.emplace_back(resp.ids[i], resp.distances[i]);
         }
         break;
       }
-    } else if (first_seen_valid) {
+    } else if (!first_seen_valid) {
+      // has_distances only ever switches on as h grows for the shipped
+      // indexes; a distance-less round after a geometric jump cannot be
+      // ranked.
+      return Status::IndexError(
+          name() + " dropped distances after a geometric kNN radius jump");
+    } else {
       for (TupleId id : resp.ids) {
         if (seen.insert(id).second) {
-          by_first_seen.emplace_back(id, static_cast<uint32_t>(h));
+          found.emplace_back(id, static_cast<uint32_t>(h));
         }
       }
-      if (by_first_seen.size() >= target || h >= max_radius) {
-        out = std::move(by_first_seen);
-        break;
-      }
-    } else if (h >= max_radius) {
-      // Unreachable with the shipped indexes (has_distances is monotone
-      // in h for all of them), kept for exactness: a distance-less round
-      // after a geometric jump cannot be ranked, so redo the expansion
-      // the classic way.
-      return LegacyKnnExpansion(query, k, stats);
+      if (found.size() >= target || h >= max_radius) break;
     }
 
     prior_results = resp.ids.size();
@@ -127,42 +123,13 @@ Result<std::vector<std::pair<TupleId, uint32_t>>> HammingIndex::Knn(
     }
   }
 
-  std::sort(out.begin(), out.end(),
+  std::sort(found.begin(), found.end(),
             [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second < b.second;
               return a.first < b.first;
             });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>>
-HammingIndex::LegacyKnnExpansion(const BinaryCode& query, std::size_t k,
-                                 obs::QueryStats* stats) const {
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  const std::size_t target = std::min(k, size());
-  const std::size_t max_radius = query.size();
-  std::unordered_set<TupleId> seen;
-  for (std::size_t h = 0; h <= max_radius && out.size() < target; ++h) {
-    if (stats != nullptr) {
-      ++stats->radius_expansions;
-      stats->rescanned_results += seen.size();
-    }
-    HAMMING_ASSIGN_OR_RETURN(std::vector<TupleId> ids,
-                             Search(query, h, stats));
-    for (TupleId id : ids) {
-      if (seen.insert(id).second) {
-        out.emplace_back(id, static_cast<uint32_t>(h));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
+  if (found.size() > k) found.resize(k);
+  return Status::OK();
 }
 
 }  // namespace hamming

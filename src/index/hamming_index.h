@@ -47,6 +47,15 @@ struct JoinPair {
 /// HmSearchIndex, RadixTreeIndex, StaticHAIndex, DynamicHAIndex,
 /// ConcurrentHAIndex.
 ///
+/// Queries are batch-only: SearchBatch and KnnBatch are the whole public
+/// query surface, since the paper's operators (h-select and h-join over
+/// relations, §3) and its reducers (§5) probe an index with many tuples
+/// at once. A family implements one range query in the protected
+/// SearchOne hook, which the default SearchBatch loops, or overrides
+/// SearchBatch with a coalesced plan. Nothing outside the class can
+/// reach a per-query entry; tests/test_indexes.cc checks that at compile
+/// time for every family.
+///
 /// Thread contract: the const entry points are safe to call from many
 /// threads concurrently as long as no thread mutates the index — plain
 /// indexes are externally synchronized. ConcurrentHAIndex is the
@@ -65,73 +74,37 @@ class HammingIndex {
   /// Replaces any previous contents.
   virtual Status Build(const std::vector<BinaryCode>& codes) = 0;
 
-  /// \brief All tuple ids whose code is within Hamming distance h of
-  /// `query`. Order of ids in the result is unspecified.
+  /// \brief Range query (h-select): answers requests[i] (its `code`/`h`
+  /// fields, whatever its `kind`) into responses[i].ids, all tuple ids
+  /// within Hamming distance h of the code, in unspecified order. When
+  /// the plan knows each match's exact distance it fills
+  /// responses[i].distances in parallel and sets `has_distances`. Each
+  /// response's `stats` gets that request's work counters (see
+  /// observability/query_stats.h for the per-family field semantics).
   ///
-  /// When `stats` is non-null the implementation accumulates its work
-  /// counters (signatures probed, candidates generated, exact distance
-  /// computations, ...) into it; see observability/query_stats.h for the
-  /// per-family field semantics. Passing nullptr (the default) records
-  /// nothing. Overrides restate the default so two-argument calls on
-  /// concrete index types keep compiling.
+  /// Per-request failures land in responses[i].status; the returned
+  /// Status is non-OK only for batch-level misuse (span size mismatch).
+  /// Requests in one batch are independent — responses are
+  /// byte-identical to issuing the same queries as batches of one.
   ///
-  /// Library code is batch-first: every driver, operator and bench goes
-  /// through SearchBatch (the [batch-first] lint rule enforces it under
-  /// src/ outside src/index/). This scalar entry point remains public as
-  /// the per-family *implementation* hook the default batch plan loops
-  /// over, and as the convenience surface tests and one-off probes use.
-  virtual Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const = 0;
-
-  /// \brief Batch-first range query: answers requests[i] (interpreted as
-  /// a range query over its `code`/`h` fields regardless of `kind`) into
-  /// responses[i]. Per-request failures land in responses[i].status; the
-  /// returned Status is non-OK only for batch-level misuse (span size
-  /// mismatch). Requests in one batch are independent — responses are
-  /// byte-identical to issuing the same queries one at a time.
-  ///
-  /// The default loops the scalar Search path. Indexes with a cheaper
-  /// coalesced plan override it: LinearScanIndex and the HA indexes
-  /// route the whole batch through one multi-query kernel traversal
-  /// (kernels::MultiWithinDistance) that streams the stored codes once
-  /// for every query in the batch, and fill per-match exact distances
-  /// (`has_distances`) when the plan produces them as a by-product.
+  /// The default loops SearchOne. Indexes with a cheaper coalesced plan
+  /// override it: LinearScanIndex routes the whole batch through one
+  /// multi-query kernel pass (kernels::CodeSet::MultiWithinDistance)
+  /// that streams the stored codes once for every query in the batch.
   virtual Status SearchBatch(std::span<const QueryRequest> requests,
                              std::span<QueryResponse> responses) const;
 
-  /// \brief Batch-first kNN: answers requests[i] (its `code`/`k` fields)
-  /// into responses[i].neighbors, same contract as SearchBatch. The
-  /// default loops the scalar Knn path; LinearScanIndex overrides it
-  /// with one multi-query bounded-heap scan (kernels::MultiKnn).
+  /// \brief kNN query: answers requests[i] (its `code`/`k` fields) into
+  /// responses[i].neighbors, the k stored tuples nearest to the code as
+  /// (id, distance) by ascending distance (order among equal distances
+  /// is unspecified; fewer than k when size() < k). Same per-request
+  /// status contract as SearchBatch.
+  ///
+  /// The default runs KnnByExpansion per request; LinearScanIndex
+  /// overrides it with one multi-query bounded-heap scan
+  /// (kernels::CodeSet::MultiKnn).
   virtual Status KnnBatch(std::span<const QueryRequest> requests,
                           std::span<QueryResponse> responses) const;
-
-  /// \brief The k stored tuples nearest to `query` by Hamming distance,
-  /// as (id, distance) sorted by ascending distance (order among equal
-  /// distances is unspecified). Fewer than k pairs when size() < k.
-  ///
-  /// The default expands the search radius through SearchBatch. When the
-  /// index reports per-match exact distances (has_distances — the HA
-  /// indexes do), the radius grows geometrically (h = 0, 1, 3, 7, ...):
-  /// the first radius with >= k matches already carries every distance
-  /// needed to rank them, so the expansion costs O(log L) rounds instead
-  /// of the h+1 rounds of the classic walk. Without distances it falls
-  /// back to the classic h += 1 expansion, where the radius at which an
-  /// id first appears is its exact distance; that path is exact wherever
-  /// Search is complete at arbitrary h (indexes with a bounded supported
-  /// radius, e.g. MultiHashTableIndex, inherit that bound). Either way
-  /// the tuples a round re-surfaces after an earlier round already
-  /// returned them are counted in QueryStats::rescanned_results — the
-  /// re-scan waste the geometric expansion exists to avoid.
-  /// Implementations with a cheaper native path override it
-  /// (LinearScanIndex runs one batched scan with a bounded top-k heap).
-  ///
-  /// Like Search, this is the per-query engine under the batch surface
-  /// (KnnBatch's default loops it); library callers use KnnBatch.
-  virtual Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
-      const BinaryCode& query, std::size_t k,
-      obs::QueryStats* stats = nullptr) const;
 
   /// \brief Inserts one (id, code) pair.
   virtual Status Insert(TupleId id, const BinaryCode& code) = 0;
@@ -155,12 +128,35 @@ class HammingIndex {
   static Status CheckBatchSpans(std::span<const QueryRequest> requests,
                                 std::span<QueryResponse> responses);
 
-  /// \brief The classic h += 1 radius expansion over scalar Search
-  /// (first-seen radius = exact distance) — the exactness fallback of
-  /// the default Knn for indexes whose batch path never reports
-  /// distances after a geometric jump.
-  Result<std::vector<std::pair<TupleId, uint32_t>>> LegacyKnnExpansion(
-      const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const;
+  /// \brief The per-query hook the default SearchBatch loops: answers
+  /// one range query into `out`, a cleared response. It appends the
+  /// matching ids (and their distances with `has_distances`, when the
+  /// family knows them) and adds its work counters to out->stats. A
+  /// non-OK return becomes out->status, with the ids dropped. Families
+  /// that override SearchBatch need not override it; the default
+  /// returns NotImplemented.
+  virtual Status SearchOne(const BinaryCode& query, std::size_t h,
+                           QueryResponse* out) const;
+
+  /// \brief The default KnnBatch plan for one request: expands the
+  /// search radius through SearchBatch until k tuples qualify and writes
+  /// the k nearest into out->neighbors.
+  ///
+  /// When the index reports per-match exact distances (has_distances),
+  /// the radius grows geometrically (h = 0, 1, 3, 7, ...): the first
+  /// radius with >= k matches already carries every distance needed to
+  /// rank them, so the expansion costs O(log L) rounds. Without
+  /// distances it takes the classic h += 1 steps, where the radius at
+  /// which an id first appears is its exact distance; that path is exact
+  /// wherever the range query is complete at arbitrary h (indexes with a
+  /// bounded radius, e.g. MultiHashTableIndex, inherit that bound). An
+  /// index whose responses drop distances after a geometric jump cannot
+  /// be ranked, and gets IndexError. Each round is one radius_expansion
+  /// in out->stats, and the tuples it re-surfaces from an earlier round
+  /// count as rescanned_results — the re-scan waste the geometric
+  /// expansion exists to avoid.
+  Status KnnByExpansion(const BinaryCode& query, std::size_t k,
+                        QueryResponse* out) const;
 };
 
 /// \brief Sorts a search result for deterministic comparison in tests.

@@ -94,10 +94,9 @@ Status HEngineIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> HEngineIndex::Search(const BinaryCode& query,
-                                                  std::size_t h,
-                                                  obs::QueryStats* stats) const {
-  if (id_to_slot_.empty()) return std::vector<TupleId>{};
+Status HEngineIndex::SearchOne(const BinaryCode& query, std::size_t h,
+                               QueryResponse* resp) const {
+  if (id_to_slot_.empty()) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
@@ -105,19 +104,18 @@ Result<std::vector<TupleId>> HEngineIndex::Search(const BinaryCode& query,
     return Status::InvalidArgument(
         "HEngine was built for thresholds up to h_max");
   }
-  std::vector<TupleId> out;
+  std::vector<TupleId>& out = resp->ids;
+  obs::QueryStats& stats = resp->stats;
   // Candidates hit by several probes are verified more than once and
   // deduplicated at the end — cheaper than tracking a visited set.
-  auto probe = [this, &out, &query, h, stats](std::size_t s, uint64_t key) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
+  auto probe = [this, &out, &query, h, &stats](std::size_t s, uint64_t key) {
+    ++stats.signatures_enumerated;
     const auto& t = tables_[s];
     Entry lo{key, 0, 0};
     for (auto it = std::lower_bound(t.begin(), t.end(), lo);
          it != t.end() && it->key == key; ++it) {
-      if (stats != nullptr) {
-        ++stats->candidates_generated;
-        ++stats->exact_distance_computations;
-      }
+      ++stats.candidates_generated;
+      ++stats.exact_distance_computations;
       if (code_store_[it->slot].WithinDistance(query, h)) {
         out.push_back(it->id);
       }
@@ -136,8 +134,8 @@ Result<std::vector<TupleId>> HEngineIndex::Search(const BinaryCode& query,
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (stats != nullptr) stats->results += out.size();
-  return out;
+  stats.results += out.size();
+  return Status::OK();
 }
 
 MemoryBreakdown HEngineIndex::Memory() const {

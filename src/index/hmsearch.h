@@ -24,15 +24,16 @@ class HmSearchIndex final : public HammingIndex {
   std::string name() const override { return "HmSearch"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return stored_.size(); }
   MemoryBreakdown Memory() const override;
 
   std::size_t num_segments() const { return num_segments_; }
+
+ protected:
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* resp) const override;
 
  private:
   std::pair<std::size_t, std::size_t> SegmentRange(std::size_t s) const;

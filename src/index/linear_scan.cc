@@ -28,26 +28,6 @@ Status LinearScanIndex::Build(const std::vector<BinaryCode>& codes) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> LinearScanIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  const QueryRequest req = QueryRequest::Range(query, h);
-  QueryResponse resp;
-  HAMMING_RETURN_NOT_OK(SearchBatch({&req, 1}, {&resp, 1}));
-  HAMMING_RETURN_NOT_OK(resp.status);
-  if (stats != nullptr) *stats += resp.stats;
-  return std::move(resp.ids);
-}
-
-Result<std::vector<std::pair<TupleId, uint32_t>>> LinearScanIndex::Knn(
-    const BinaryCode& query, std::size_t k, obs::QueryStats* stats) const {
-  const QueryRequest req = QueryRequest::Knn(query, k);
-  QueryResponse resp;
-  HAMMING_RETURN_NOT_OK(KnnBatch({&req, 1}, {&resp, 1}));
-  HAMMING_RETURN_NOT_OK(resp.status);
-  if (stats != nullptr) *stats += resp.stats;
-  return std::move(resp.neighbors);
-}
-
 Status LinearScanIndex::SearchBatch(std::span<const QueryRequest> requests,
                                     std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));

@@ -17,20 +17,10 @@ class LinearScanIndex final : public HammingIndex {
   std::string name() const override { return "Nested-Loops"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return ids_.size(); }
   MemoryBreakdown Memory() const override;
-
-  /// \brief Exact k nearest stored tuples by Hamming distance, as
-  /// (id, distance) ascending — a full batched scan with a bounded
-  /// top-k heap instead of the base class's radius-expanding Search loop.
-  Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
-      const BinaryCode& query, std::size_t k,
-      obs::QueryStats* stats = nullptr) const override;
 
   /// \brief Native batch range plan: one CodeSet multi-query range call.
   /// Requests whose radius picks the bit-plane layout take the plane
@@ -40,7 +30,7 @@ class LinearScanIndex final : public HammingIndex {
                      std::span<QueryResponse> responses) const override;
 
   /// \brief Native batch kNN: one multi-query bounded-heap scan
-  /// (CodeSet::MultiKnn), bit-identical per query to the scalar Knn.
+  /// (CodeSet::MultiKnn) instead of the base class's radius expansion.
   Status KnnBatch(std::span<const QueryRequest> requests,
                   std::span<QueryResponse> responses) const override;
 

@@ -145,37 +145,36 @@ Status MultiHashTableIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> MultiHashTableIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  if (stored_.empty()) return std::vector<TupleId>{};
+Status MultiHashTableIndex::SearchOne(const BinaryCode& query, std::size_t h,
+                                      QueryResponse* resp) const {
+  if (stored_.empty()) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
-  std::vector<TupleId> out;
+  std::vector<TupleId>& out = resp->ids;
+  obs::QueryStats& stats = resp->stats;
   // A tuple can match in several tables; verifying twice is cheaper than
   // a per-candidate visited set, so duplicates are dropped at the end.
   std::vector<kernels::SlotDistance> hits;
   for (std::size_t t = 0; t < combos_.size(); ++t) {
-    if (stats != nullptr) ++stats->signatures_enumerated;
+    ++stats.signatures_enumerated;
     auto bucket_it = tables_[t].find(KeyOf(combos_[t], query));
     if (bucket_it == tables_[t].end()) continue;
     const Bucket& bucket = bucket_it->second;
     kernels::VerticalScanStats planes;
     HAMMING_RETURN_NOT_OK(
         bucket.codes.WithinDistance(query, h, &hits, &planes));
-    if (stats != nullptr) {
-      ++stats->kernel_batch_calls;
-      stats->candidates_generated += bucket.ids.size();
-      stats->exact_distance_computations += bucket.ids.size();
-      stats->planes_scanned += planes.planes_scanned;
-      stats->blocks_pruned += planes.blocks_pruned;
-    }
+    ++stats.kernel_batch_calls;
+    stats.candidates_generated += bucket.ids.size();
+    stats.exact_distance_computations += bucket.ids.size();
+    stats.planes_scanned += planes.planes_scanned;
+    stats.blocks_pruned += planes.blocks_pruned;
     for (const auto& hit : hits) out.push_back(bucket.ids[hit.slot]);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (stats != nullptr) stats->results += out.size();
-  return out;
+  stats.results += out.size();
+  return Status::OK();
 }
 
 void MultiHashTableIndex::Serialize(BufferWriter* w) const {

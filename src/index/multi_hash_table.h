@@ -38,9 +38,6 @@ class MultiHashTableIndex final : public HammingIndex {
   }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return stored_.size(); }
@@ -58,6 +55,10 @@ class MultiHashTableIndex final : public HammingIndex {
   /// broadcasts, and why Manku-style duplication is expensive to ship.
   void Serialize(BufferWriter* w) const;
   static Result<MultiHashTableIndex> Deserialize(BufferReader* r);
+
+ protected:
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* resp) const override;
 
  private:
   /// One hash bucket: slot i holds tuple ids[i] with code codes.Get(i),

@@ -57,11 +57,11 @@ struct QueryRequest {
 
 /// \brief The result of one QueryRequest.
 ///
-/// Range queries fill `ids` (order unspecified, matching Search); when
-/// the index produced exact distances as a by-product (`has_distances`),
-/// `distances[i]` is the Hamming distance of `ids[i]`. kNN queries fill
-/// `neighbors` as (id, distance) ascending. `stats` accumulates the
-/// index's work counters for this request alone.
+/// Range queries fill `ids` (order unspecified); when the index produced
+/// exact distances as a by-product (`has_distances`), `distances[i]` is
+/// the Hamming distance of `ids[i]`. kNN queries fill `neighbors` as
+/// (id, distance) ascending. `stats` accumulates the index's work
+/// counters for this request alone.
 struct QueryResponse {
   Status status = Status::OK();
   std::vector<TupleId> ids;                     // kRange matches

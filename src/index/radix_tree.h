@@ -21,9 +21,6 @@ class RadixTreeIndex final : public HammingIndex {
   std::string name() const override { return "Radix-Tree"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
   Status Insert(TupleId id, const BinaryCode& code) override;
   Status Delete(TupleId id, const BinaryCode& code) override;
   std::size_t size() const override { return size_; }
@@ -31,6 +28,10 @@ class RadixTreeIndex final : public HammingIndex {
 
   /// \brief Number of trie nodes (for the analysis tests).
   std::size_t NodeCount() const;
+
+ protected:
+  Status SearchOne(const BinaryCode& query, std::size_t h,
+                   QueryResponse* resp) const override;
 
  private:
   struct Node {

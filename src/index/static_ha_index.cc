@@ -118,16 +118,6 @@ Status StaticHAIndex::Delete(TupleId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-Result<std::vector<TupleId>> StaticHAIndex::Search(
-    const BinaryCode& query, std::size_t h, obs::QueryStats* stats) const {
-  std::vector<TupleId> out;
-  SearchScratch scratch;
-  bool took_path_walk = false;
-  HAMMING_RETURN_NOT_OK(
-      SearchOne(query, h, stats, &out, nullptr, &took_path_walk, &scratch));
-  return out;
-}
-
 Status StaticHAIndex::SearchBatch(std::span<const QueryRequest> requests,
                                   std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
@@ -137,32 +127,21 @@ Status StaticHAIndex::SearchBatch(std::span<const QueryRequest> requests,
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
     resp.Clear();
-    bool took_path_walk = false;
-    Status st = SearchOne(requests[i].code, requests[i].h, &resp.stats,
-                          &resp.ids, &resp.distances, &took_path_walk,
-                          &scratch);
-    if (!st.ok()) {
-      resp.status = std::move(st);
-      continue;
-    }
-    resp.has_distances = took_path_walk;
-    if (!took_path_walk) resp.distances.clear();
+    Status st = AnswerRange(requests[i].code, requests[i].h, &scratch, &resp);
+    if (!st.ok()) resp.status = std::move(st);
   }
   return Status::OK();
 }
 
-Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
-                                obs::QueryStats* stats,
-                                std::vector<TupleId>* out_ids,
-                                std::vector<uint32_t>* out_dists,
-                                bool* took_path_walk,
-                                SearchScratch* scratch) const {
-  std::vector<TupleId>& out = *out_ids;
-  *took_path_walk = false;
+Status StaticHAIndex::AnswerRange(const BinaryCode& query, std::size_t h,
+                                  SearchScratch* scratch,
+                                  QueryResponse* resp) const {
   if (paths_.empty()) return Status::OK();
   if (query.size() != code_bits_) {
     return Status::InvalidArgument("query length mismatch");
   }
+  std::vector<TupleId>& out = resp->ids;
+  obs::QueryStats& stats = resp->stats;
   const std::size_t nl = levels_.size();
 
   // Selective queries over large stores skip the node walk entirely and
@@ -176,17 +155,15 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
     kernels::BatchWithinDistance(query, vcodes_, h, &slots, &vstats);
     out.reserve(slots.size());
     for (uint32_t slot : slots) out.push_back(paths_[slot]);
-    if (stats != nullptr) {
-      ++stats->kernel_batch_calls;
-      stats->candidates_generated += paths_.size();
-      stats->exact_distance_computations += paths_.size();
-      stats->results += out.size();
-      stats->planes_scanned += vstats.planes_scanned;
-      stats->blocks_pruned += vstats.blocks_pruned;
-    }
+    ++stats.kernel_batch_calls;
+    stats.candidates_generated += paths_.size();
+    stats.exact_distance_computations += paths_.size();
+    stats.results += out.size();
+    stats.planes_scanned += vstats.planes_scanned;
+    stats.blocks_pruned += vstats.blocks_pruned;
     return Status::OK();
   }
-  *took_path_walk = true;
+  resp->has_distances = true;
 
   // Phase 1: one XOR+popcount per *distinct* segment node — the shared
   // computation that distinguishes the HA-Index from per-tuple scans.
@@ -205,11 +182,9 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
     // (node_values is a flat uint64 array — exactly one kernel lane).
     kernels::BatchXorPopcount(qseg, level.node_values.data(),
                               level.node_values.size(), dist.data());
-    if (stats != nullptr) {
-      ++stats->kernel_batch_calls;
-      // One shared distance per distinct segment node at this level.
-      stats->signatures_enumerated += level.node_values.size();
-    }
+    ++stats.kernel_batch_calls;
+    // One shared distance per distinct segment node at this level.
+    stats.signatures_enumerated += level.node_values.size();
     uint16_t best = 0xffff;
     for (std::size_t v = 0; v < level.node_values.size(); ++v) {
       if (level.node_refcount[v] == 0) {
@@ -235,7 +210,7 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
     if (groups_[g].empty()) continue;
     std::size_t d0 = node_dist[0][g];
     if (d0 + min_rest[1] > h) continue;  // prunes every path through g
-    if (stats != nullptr) stats->candidates_generated += groups_[g].size();
+    stats.candidates_generated += groups_[g].size();
     for (uint32_t row : groups_[g]) {
       const uint32_t* path = path_nodes_.data() + row * nl;
       std::size_t acc = d0;
@@ -250,18 +225,16 @@ Status StaticHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
       // A row whose path walk completes has had its full distance summed
       // from memoized node distances — the exact computation for this
       // structure.
-      if (ok && stats != nullptr) ++stats->exact_distance_computations;
-      if (ok && acc <= h) {
+      if (!ok) continue;
+      ++stats.exact_distance_computations;
+      if (acc <= h) {
         out.push_back(paths_[row]);
-        // The completed walk IS the exact distance — record it for free
-        // when the caller wants it (SearchBatch's has_distances).
-        if (out_dists != nullptr) {
-          out_dists->push_back(static_cast<uint32_t>(acc));
-        }
+        // The completed walk IS the exact distance — record it for free.
+        resp->distances.push_back(static_cast<uint32_t>(acc));
       }
     }
   }
-  if (stats != nullptr) stats->results += out.size();
+  stats.results += out.size();
   return Status::OK();
 }
 

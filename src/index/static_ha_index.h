@@ -37,23 +37,20 @@ class StaticHAIndex final : public HammingIndex {
   std::string name() const override { return "SHA-Index"; }
 
   Status Build(const std::vector<BinaryCode>& codes) override;
-  /// \note Search lazily rebuilds an internal row-grouping cache after
-  /// updates; the *first* Search following Build/Insert/Delete is not
-  /// safe to race with other Searches. Issue one warming query before
-  /// sharing the index across threads.
-  Result<std::vector<TupleId>> Search(
-      const BinaryCode& query, std::size_t h,
-      obs::QueryStats* stats = nullptr) const override;
 
   /// \brief Native batch range plan. Each request still walks the shared
   /// node structure independently (the node distances depend on the
   /// query), but the batch refreshes the row-group cache once, reuses
   /// one set of per-level scratch buffers across the whole batch, and —
-  /// the payoff for the radius-expanding Knn — reports the exact path
-  /// distance of every match (`has_distances`) whenever a request takes
-  /// the memoized path walk, since the walk sums that distance anyway.
-  /// Requests routed to the vertical plane scan (small h over a large
-  /// store) match the scalar path byte-for-byte and carry no distances.
+  /// the payoff for the radius-expanding KnnBatch — reports the exact
+  /// path distance of every match (`has_distances`) whenever a request
+  /// takes the memoized path walk, since the walk sums that distance
+  /// anyway. Requests routed to the vertical plane scan (small h over a
+  /// large store) carry no distances.
+  /// \note The row-grouping cache is rebuilt lazily after updates; the
+  /// *first* batch following Build/Insert/Delete is not safe to race
+  /// with other batches. Issue one warming query before sharing the
+  /// index across threads.
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
 
@@ -85,14 +82,11 @@ class StaticHAIndex final : public HammingIndex {
   Status EnsureLayout(const BinaryCode& code);
   uint32_t InternNode(Level* level, uint64_t value);
 
-  /// The single-query engine behind Search and SearchBatch. Fills
-  /// out_ids; when out_dists is non-null AND the query takes the path
-  /// walk (not the vertical scan), also fills the matches' exact
-  /// distances and sets *took_path_walk.
-  Status SearchOne(const BinaryCode& query, std::size_t h,
-                   obs::QueryStats* stats, std::vector<TupleId>* out_ids,
-                   std::vector<uint32_t>* out_dists, bool* took_path_walk,
-                   SearchScratch* scratch) const;
+  /// One request of SearchBatch: fills resp->ids and resp->stats, and
+  /// when the query takes the path walk (not the vertical scan) also the
+  /// matches' exact distances, with has_distances.
+  Status AnswerRange(const BinaryCode& query, std::size_t h,
+                     SearchScratch* scratch, QueryResponse* resp) const;
 
   /// Rebuilds groups_ (rows bucketed by their level-0 node) when stale.
   void RefreshGroups() const;

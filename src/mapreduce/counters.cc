@@ -13,10 +13,6 @@ constexpr std::array<const char*, kNumCounterIds> kCounterNames = {
 
 }  // namespace
 
-const char* CounterName(CounterId id) {
-  return kCounterNames[static_cast<std::size_t>(id)];
-}
-
 int InternCounterId(std::string_view name) {
   for (std::size_t i = 0; i < kNumCounterIds; ++i) {
     if (name == kCounterNames[i]) return static_cast<int>(i);

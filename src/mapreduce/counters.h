@@ -60,9 +60,6 @@ enum class CounterId : uint8_t {
 
 inline constexpr std::size_t kNumCounterIds = 11;
 
-/// \brief The well-known name of an interned counter id.
-const char* CounterName(CounterId id);
-
 /// \brief Slot of a well-known name, or -1 for arbitrary names.
 int InternCounterId(std::string_view name);
 

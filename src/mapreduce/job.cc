@@ -62,12 +62,6 @@ std::size_t EnvShuffleBudget() {
 ExecutionOptions ResolveOptions(const JobSpec& spec) {
   ExecutionOptions opts = spec.options;
   if (!opts.partition_fn) opts.partition_fn = PartitionFn(HashPartition);
-  // Per-record shared counting cannot be un-charged when an attempt is
-  // discarded, so any attempt-layer feature forces buffered counting.
-  if (opts.max_attempts > 1 || opts.speculation.enabled ||
-      opts.fault != nullptr) {
-    opts.legacy_contended_counters = false;
-  }
   if (opts.shuffle_memory_bytes == kUnlimitedShuffleMemory) {
     opts.shuffle_memory_bytes = EnvShuffleBudget();
   }
@@ -425,7 +419,6 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
   Stopwatch total_watch;
   EventLog events(&result.trace, opts.observer, &total_watch);
   const PartitionFn& partition = opts.partition_fn;
-  const bool legacy_counters = opts.legacy_contended_counters;
   const FaultInjector* fault = opts.fault.get();
 
   // ---- Map phase -------------------------------------------------------
@@ -451,13 +444,9 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
     // the runner must then discard.
     const std::size_t fail_after =
         fd.fail ? split.size() / 2 : static_cast<std::size_t>(-1);
-    auto count = [&](CounterId id, int64_t delta) {
-      if (legacy_counters) {
-        result.counters.Add(CounterName(id), delta);
-      } else {
-        out->counts.Add(id, delta);
-      }
-    };
+    // Counters go to the attempt's private buffer; only the winning
+    // attempt's buffer is merged into the job's, once per task.
+    LocalCounters& counts = out->counts;
     std::unique_ptr<ShuffleWriter> writer;
     if (external) {
       ShuffleWriterOptions wopts;
@@ -487,15 +476,15 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
         return Status::ExecutionError(
             InjectedFaultMessage(TaskKind::kMap, m, attempt));
       }
-      count(CounterId::kMapInputRecords, 1);
+      counts.Add(CounterId::kMapInputRecords, 1);
       emitter.records().clear();
       HAMMING_RETURN_NOT_OK(spec.map_fn(rec, &emitter));
       for (Record& o : emitter.records()) {
         // Logical shuffle counters are charged at emission, before any
         // combining or spilling, so they are identical at every budget.
-        count(CounterId::kMapOutputRecords, 1);
-        count(CounterId::kShuffleBytes,
-              static_cast<int64_t>(o.SerializedBytes()));
+        counts.Add(CounterId::kMapOutputRecords, 1);
+        counts.Add(CounterId::kShuffleBytes,
+                   static_cast<int64_t>(o.SerializedBytes()));
         std::size_t p = partition(o.key, opts.num_reducers);
         if (writer) {
           HAMMING_RETURN_NOT_OK(writer->Add(p, std::move(o)));
@@ -511,11 +500,12 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
     }
     if (writer) {
       HAMMING_RETURN_NOT_OK(writer->Flush());
-      count(CounterId::kShuffleSpills, writer->spill_count());
-      count(CounterId::kShuffleSpilledBytes, writer->spilled_bytes());
-      count(CounterId::kCombineInputRecords, writer->combine_input_records());
-      count(CounterId::kCombineOutputRecords,
-            writer->combine_output_records());
+      counts.Add(CounterId::kShuffleSpills, writer->spill_count());
+      counts.Add(CounterId::kShuffleSpilledBytes, writer->spilled_bytes());
+      counts.Add(CounterId::kCombineInputRecords,
+                 writer->combine_input_records());
+      counts.Add(CounterId::kCombineOutputRecords,
+                 writer->combine_output_records());
       out->spills = writer->TakeSpills();
     } else if (spec.combine_fn) {
       // In-memory mode applies the combiner once, to the whole partition
@@ -526,15 +516,15 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
         HAMMING_RETURN_NOT_OK(SortAndCombine(&partition_buf, spec.combine_fn,
                                              &combine_in, &combine_out));
       }
-      count(CounterId::kCombineInputRecords, combine_in);
-      count(CounterId::kCombineOutputRecords, combine_out);
+      counts.Add(CounterId::kCombineInputRecords, combine_in);
+      counts.Add(CounterId::kCombineOutputRecords, combine_out);
     }
     return Status::OK();
   };
   CommitFn map_commit = [&](std::size_t m, AttemptOutput* out) {
     map_outputs[m] = std::move(out->map_partitions);
     map_spills[m] = std::move(out->spills);
-    if (!legacy_counters) result.counters.MergeLocal(out->counts);
+    result.counters.MergeLocal(out->counts);
   };
   {
     PhaseRunner runner(cluster->pool(), TaskKind::kMap, num_maps, opts,
@@ -695,13 +685,7 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
       if (fd.delay_seconds > 0.0 && !token->SleepFor(fd.delay_seconds)) {
         return CancelledStatus(TaskKind::kReduce);
       }
-      auto count = [&](CounterId id, int64_t delta) {
-        if (legacy_counters) {
-          result.counters.Add(CounterName(id), delta);
-        } else {
-          out->counts.Add(id, delta);
-        }
-      };
+      LocalCounters& counts = out->counts;
       Emitter emitter;
       if (external) {
         ShuffleMerger merger = make_merger(r, attempt, reducer_sources[r]);
@@ -745,16 +729,16 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
             if (cur.key != key) break;
             values.push_back(std::move(cur.value));
           }
-          count(CounterId::kReduceInputGroups, 1);
+          counts.Add(CounterId::kReduceInputGroups, 1);
           HAMMING_RETURN_NOT_OK(spec.reduce_fn(key, values, &emitter));
         }
-        count(CounterId::kShuffleMergeFanIn, merger.fanin());
-        count(CounterId::kShuffleSpills, merger.spill_count());
-        count(CounterId::kShuffleSpilledBytes, merger.spilled_bytes());
-        count(CounterId::kCombineInputRecords,
-              merger.combine_input_records());
-        count(CounterId::kCombineOutputRecords,
-              merger.combine_output_records());
+        counts.Add(CounterId::kShuffleMergeFanIn, merger.fanin());
+        counts.Add(CounterId::kShuffleSpills, merger.spill_count());
+        counts.Add(CounterId::kShuffleSpilledBytes, merger.spilled_bytes());
+        counts.Add(CounterId::kCombineInputRecords,
+                   merger.combine_input_records());
+        counts.Add(CounterId::kCombineOutputRecords,
+                   merger.combine_output_records());
       } else {
         auto& input = reducer_inputs[r];
         const std::size_t fail_after =
@@ -776,7 +760,7 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
             }
             ++j;
           }
-          count(CounterId::kReduceInputGroups, 1);
+          counts.Add(CounterId::kReduceInputGroups, 1);
           HAMMING_RETURN_NOT_OK(
               spec.reduce_fn(input[i].key, values, &emitter));
           i = j;
@@ -786,14 +770,14 @@ Result<JobResult> RunJob(const JobSpec& spec, Cluster* cluster) {
               InjectedFaultMessage(TaskKind::kReduce, r, attempt));
         }
       }
-      count(CounterId::kReduceOutputRecords,
-            static_cast<int64_t>(emitter.records().size()));
+      counts.Add(CounterId::kReduceOutputRecords,
+                 static_cast<int64_t>(emitter.records().size()));
       out->reduce_records = std::move(emitter.records());
       return Status::OK();
     };
     CommitFn reduce_commit = [&](std::size_t r, AttemptOutput* out) {
       result.outputs[r] = std::move(out->reduce_records);
-      if (!legacy_counters) result.counters.MergeLocal(out->counts);
+      result.counters.MergeLocal(out->counts);
     };
     PhaseRunner runner(cluster->pool(), TaskKind::kReduce, opts.num_reducers,
                        opts, &events);

@@ -92,23 +92,28 @@ Result<MrhaKnnResult> RunMrhaKnnJoin(const FloatMatrix& r_data,
                       const std::vector<uint8_t>&,
                       const std::vector<std::vector<uint8_t>>& values,
                       mr::Emitter* out) -> Status {
+    QueryResponse resp;
+    std::vector<std::pair<TupleId, uint32_t>> candidates;
     for (const auto& v : values) {
       HAMMING_ASSIGN_OR_RETURN(CodeTuple t, DecodeCodeTuple(v));
       // Threshold escalation until k candidates qualify (Section 2).
       obs::QueryStats qstats;
-      obs::QueryStats* qstats_ptr = metrics != nullptr ? &qstats : nullptr;
-      std::vector<std::pair<TupleId, uint32_t>> candidates;
-      std::size_t h = initial_h;
+      QueryRequest req = QueryRequest::Range(std::move(t.code), initial_h);
       for (;;) {
-        HAMMING_ASSIGN_OR_RETURN(
-            candidates,
-            index_ptr->SearchWithDistances(t.code, h, qstats_ptr));
-        if (candidates.size() >= k || h >= code_bits) break;
-        h = std::min(code_bits, h + h_step);
-        if (qstats_ptr != nullptr) ++qstats_ptr->radius_expansions;
+        HAMMING_RETURN_NOT_OK(index_ptr->SearchBatch({&req, 1}, {&resp, 1}));
+        HAMMING_RETURN_NOT_OK(resp.status);
+        qstats += resp.stats;
+        if (resp.ids.size() >= k || req.h >= code_bits) break;
+        req.h = std::min(code_bits, req.h + h_step);
+        ++qstats.radius_expansions;
       }
       if (metrics != nullptr) query_hists.Observe(metrics, qstats);
-      // Rank by code distance (ties by id for determinism), keep k.
+      // Rank by code distance (ties by id for determinism), keep k. The
+      // HA-Index reports every match's exact distance.
+      candidates.clear();
+      for (std::size_t i = 0; i < resp.ids.size(); ++i) {
+        candidates.emplace_back(resp.ids[i], resp.distances[i]);
+      }
       std::sort(candidates.begin(), candidates.end(),
                 [](const auto& a, const auto& b) {
                   if (a.second != b.second) return a.second < b.second;

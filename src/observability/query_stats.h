@@ -1,7 +1,7 @@
 // Per-query search statistics — the quantities the paper's relative
 // claims (and the multi-index-hashing analyses in PAPERS.md) are built
-// on, recorded by every HammingIndex::Search/Knn when the caller passes
-// a QueryStats*.
+// on, recorded by every HammingIndex::SearchBatch/KnnBatch into each
+// request's QueryResponse::stats.
 //
 // Field semantics across the index families:
 //  * signatures_enumerated — hash keys / segment signatures / shared
@@ -16,13 +16,13 @@
 //    (kernels/hamming_kernels.h); candidates / batches is the average
 //    batch occupancy, the quantity that decides whether the SIMD path
 //    pays off.
-//  * radius_expansions — Search(h) rounds issued by the radius-expanding
-//    default Knn.
+//  * radius_expansions — range-query rounds issued by the
+//    radius-expanding default KnnBatch.
 //  * rescanned_results — tuples re-surfaced by a later expansion round
-//    that an earlier Search(h) had already returned: the pure re-scan
-//    waste of radius-expanding Knn. The geometric (distance-guided)
-//    expansion exists to drive this number down; the legacy h += 1
-//    walk pays it once per extra round.
+//    that an earlier round had already returned: the pure re-scan waste
+//    of radius-expanding kNN. The geometric (distance-guided) expansion
+//    exists to drive this number down; the h += 1 walk pays it once per
+//    extra round.
 //  * results — qualifying tuples returned.
 //  * serving_queue_nanos — time the request spent waiting in the serving
 //    layer's admission queue before its batch reached the index (zero

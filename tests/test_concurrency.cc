@@ -24,14 +24,14 @@ TEST(Concurrency, ParallelSearchesOnSharedIndexAreConsistent) {
   auto queries = RandomCodes(64, 32, /*seed=*/4, /*clusters=*/8);
   std::vector<std::vector<TupleId>> expect(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    expect[q] = Sorted(*truth.Search(queries[q], 3));
+    expect[q] = Sorted(*testutil::Search(truth, queries[q], 3));
   }
 
   ThreadPool pool(8);
   std::atomic<int> mismatches{0};
   ParallelFor(&pool, queries.size() * 8, [&](std::size_t i) {
     std::size_t q = i % queries.size();
-    auto got = index.Search(queries[q], 3);
+    auto got = testutil::Search(index, queries[q], 3);
     if (!got.ok() || Sorted(*got) != expect[q]) ++mismatches;
   });
   EXPECT_EQ(mismatches.load(), 0);
@@ -42,7 +42,7 @@ TEST(Concurrency, ParallelSearchesOnStaticIndex) {
   auto codes = RandomCodes(1000, 32, /*seed=*/5, /*clusters=*/8);
   StaticHAIndex index(StaticHAIndexOptions{8});
   ASSERT_TRUE(index.Build(codes).ok());
-  (void)index.Search(codes[0], 3);  // warm the lazy group cache
+  (void)testutil::Search(index, codes[0], 3);  // warm the lazy group cache
   LinearScanIndex truth;
   ASSERT_TRUE(truth.Build(codes).ok());
 
@@ -50,8 +50,8 @@ TEST(Concurrency, ParallelSearchesOnStaticIndex) {
   std::atomic<int> mismatches{0};
   ParallelFor(&pool, 200, [&](std::size_t i) {
     const auto& q = codes[(i * 37) % codes.size()];
-    auto got = index.Search(q, 3);
-    auto expect = truth.Search(q, 3);
+    auto got = testutil::Search(index, q, 3);
+    auto expect = testutil::Search(truth, q, 3);
     if (!got.ok() || Sorted(*got) != Sorted(*expect)) ++mismatches;
   });
   EXPECT_EQ(mismatches.load(), 0);
@@ -63,8 +63,8 @@ TEST(SearchWithDistances, ReportsExactDistances) {
   ASSERT_TRUE(index.Build(codes).ok());
   auto queries = RandomCodes(10, 32, /*seed=*/8, /*clusters=*/8);
   for (const auto& q : queries) {
-    auto got = index.SearchWithDistances(q, 4).ValueOrDie();
-    auto plain = Sorted(*index.Search(q, 4));
+    auto got = testutil::SearchWithDistances(index, q, 4).ValueOrDie();
+    auto plain = Sorted(*testutil::Search(index, q, 4));
     std::vector<TupleId> ids;
     for (const auto& [id, dist] : got) {
       EXPECT_EQ(dist, codes[id].Distance(q)) << "id " << id;
@@ -83,7 +83,7 @@ TEST(SearchWithDistances, CoversInsertBuffer) {
   for (std::size_t i = 0; i < codes.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<TupleId>(i), codes[i]).ok());
   }
-  auto got = index.SearchWithDistances(codes[7], 0).ValueOrDie();
+  auto got = testutil::SearchWithDistances(index, codes[7], 0).ValueOrDie();
   ASSERT_FALSE(got.empty());
   bool found = false;
   for (const auto& [id, dist] : got) {
@@ -102,7 +102,9 @@ TEST(SearchWithDistances, LeaflessRejected) {
   auto codes = RandomCodes(20, 32);
   ASSERT_TRUE(index.Build(codes).ok());
   EXPECT_TRUE(
-      index.SearchWithDistances(codes[0], 3).status().IsNotImplemented());
+      testutil::SearchWithDistances(index, codes[0], 3)
+          .status()
+          .IsNotImplemented());
 }
 
 }  // namespace

@@ -50,8 +50,8 @@ TEST(ConcurrentIndexBasic, BuildAndSearchMatchDynamicHA) {
   EXPECT_EQ(cha.name(), "CHA-Index");
 
   for (const auto& q : queries) {
-    auto got = cha.Search(q, 4);
-    auto ref = dha.Search(q, 4);
+    auto got = testutil::Search(cha, q, 4);
+    auto ref = testutil::Search(dha, q, 4);
     ASSERT_TRUE(got.ok() && ref.ok());
     EXPECT_EQ(Sorted(*got), Sorted(*ref));
   }
@@ -65,7 +65,7 @@ TEST(ConcurrentIndexBasic, BuildAndSearchMatchDynamicHA) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     ASSERT_TRUE(resps[i].status.ok());
     EXPECT_TRUE(resps[i].has_distances);
-    auto ref = dha.Search(queries[i], 4);
+    auto ref = testutil::Search(dha, queries[i], 4);
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(Sorted(resps[i].ids), Sorted(*ref)) << "query " << i;
     for (std::size_t j = 0; j < resps[i].ids.size(); ++j) {
@@ -83,8 +83,8 @@ TEST(ConcurrentIndexBasic, KnnMatchesDynamicHA) {
   ASSERT_TRUE(dha.Build(codes).ok());
   auto queries = RandomCodes(16, 64, /*seed=*/6, /*clusters=*/6);
   for (const auto& q : queries) {
-    auto got = cha.Knn(q, 9);
-    auto ref = dha.Knn(q, 9);
+    auto got = testutil::Knn(cha, q, 9);
+    auto ref = testutil::Knn(dha, q, 9);
     ASSERT_TRUE(got.ok() && ref.ok());
     ASSERT_EQ(got->size(), ref->size());
     for (std::size_t i = 0; i < got->size(); ++i) {
@@ -146,8 +146,8 @@ TEST(ConcurrentIndexBasic, InsertDeleteDifferentialVsDynamicHA) {
     ASSERT_EQ(cha.size(), live.size()) << "step " << step;
     if (step % 25 == 0) {
       for (const auto& q : queries) {
-        auto got = cha.Search(q, 4);
-        auto ref = mirror.Search(q, 4);
+        auto got = testutil::Search(cha, q, 4);
+        auto ref = testutil::Search(mirror, q, 4);
         ASSERT_TRUE(got.ok() && ref.ok());
         ASSERT_EQ(Sorted(*got), Sorted(*ref)) << "step " << step;
       }
@@ -169,10 +169,10 @@ TEST(ConcurrentIndexBasic, ReinsertAfterDeleteUsesNewCode) {
   ASSERT_TRUE(cha.Delete(7, codes[7]).ok());
   ASSERT_TRUE(cha.Insert(7, replacement).ok());
 
-  auto at_new = cha.Search(replacement, 0);
+  auto at_new = testutil::Search(cha, replacement, 0);
   ASSERT_TRUE(at_new.ok());
   EXPECT_TRUE(std::find(at_new->begin(), at_new->end(), 7) != at_new->end());
-  auto at_old = cha.Search(codes[7], 0);
+  auto at_old = testutil::Search(cha, codes[7], 0);
   ASSERT_TRUE(at_old.ok());
   EXPECT_TRUE(std::find(at_old->begin(), at_old->end(), 7) == at_old->end());
 }
@@ -210,8 +210,8 @@ TEST(ConcurrentIndexBasic, RebuildCompactsDelta) {
 
   auto queries = RandomCodes(8, 48, /*seed=*/31, /*clusters=*/8);
   for (const auto& q : queries) {
-    auto got = cha.Search(q, 4);
-    auto ref = mirror.Search(q, 4);
+    auto got = testutil::Search(cha, q, 4);
+    auto ref = testutil::Search(mirror, q, 4);
     ASSERT_TRUE(got.ok() && ref.ok());
     EXPECT_EQ(Sorted(*got), Sorted(*ref));
   }
@@ -227,7 +227,7 @@ TEST(ConcurrentIndexBasic, EpochMetricsRecorded) {
   for (TupleId id = 0; id < 8; ++id) {
     ASSERT_TRUE(cha.Delete(id, codes[id]).ok());
   }
-  auto probe = cha.Search(codes[20], 2);
+  auto probe = testutil::Search(cha, codes[20], 2);
   ASSERT_TRUE(probe.ok());
 
   auto snap = metrics.Snapshot();
@@ -299,7 +299,7 @@ TEST(ConcurrentIndexSnapshot, PinnedSnapshotFrozenDuringChurn) {
   // byte-identically to its frozen corpus.
   for (int round = 0; round < 60; ++round) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      auto got = pinned->Search(queries[i], 4);
+      auto got = testutil::Search(*pinned, queries[i], 4);
       ASSERT_TRUE(got.ok());
       ASSERT_EQ(Sorted(*got), want[i]) << "round " << round;
     }
@@ -433,7 +433,7 @@ TEST(ChurnStress, ManyReadersOneMutator) {
           const auto frozen = snap->ExportTuples();
           const auto& q = queries[static_cast<std::size_t>(
               rng.UniformInt(0, static_cast<int64_t>(queries.size()) - 1))];
-          auto got = snap->Search(q, 4);
+          auto got = testutil::Search(*snap, q, 4);
           ASSERT_TRUE(got.ok());
           ASSERT_EQ(Sorted(*got), BruteForce(frozen, q, 4))
               << "reader " << r << " round " << round << " epoch "
@@ -488,7 +488,7 @@ TEST(DynamicHAAudit, RebuildAtNewWidthResetsTheInsertBuffer) {
   EXPECT_TRUE(dha.Insert(300, BinaryCode(32)).IsInvalidArgument());
   ASSERT_TRUE(dha.CheckConsistency().ok());
   EXPECT_EQ(dha.size(), 21u);
-  auto got = dha.Search(fresh, 0);
+  auto got = testutil::Search(dha, fresh, 0);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_NE(std::find(got->begin(), got->end(), 200u), got->end());
   ASSERT_TRUE(dha.Delete(200, fresh).ok());

@@ -57,7 +57,7 @@ TEST(DynamicHAIndex, FullSpaceExample) {
   ASSERT_TRUE(index.Build(codes).ok());
   EXPECT_EQ(index.Stats().num_leaves, 8u);
   for (uint64_t v = 0; v < 8; ++v) {
-    auto got = index.Search(codes[v], 1);
+    auto got = testutil::Search(index, codes[v], 1);
     ASSERT_TRUE(got.ok());
     // Distance <= 1 from a 3-bit code: itself + 3 neighbours.
     EXPECT_EQ(got->size(), 4u) << "v=" << v;
@@ -78,8 +78,8 @@ TEST(DynamicHAIndex, SerializationPreservesSearchResults) {
 
   auto queries = RandomCodes(10, 32, /*seed=*/77, /*clusters=*/8);
   for (const auto& q : queries) {
-    auto a = index.Search(q, 3);
-    auto b = back.Search(q, 3);
+    auto a = testutil::Search(index, q, 3);
+    auto b = testutil::Search(back, q, 3);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(Sorted(*a), Sorted(*b));
@@ -100,7 +100,7 @@ TEST(DynamicHAIndex, SerializationCompactsDeadNodes) {
   BufferReader r(w.buffer());
   auto back = DynamicHAIndex::Deserialize(&r).ValueOrDie();
   EXPECT_EQ(back.size(), 100u);
-  auto got = back.Search(codes[150], 0);
+  auto got = testutil::Search(back, codes[150], 0);
   ASSERT_TRUE(got.ok());
   bool found = false;
   for (TupleId id : *got) {
@@ -132,9 +132,9 @@ TEST(DynamicHAIndex, MergePreservesAllTuples) {
 
   auto queries = RandomCodes(15, 32, /*seed=*/99, /*clusters=*/6);
   for (const auto& q : queries) {
-    auto got = a.Search(q, 3);
+    auto got = testutil::Search(a, q, 3);
     ASSERT_TRUE(got.ok());
-    auto expect = truth.Search(q, 3);
+    auto expect = testutil::Search(truth, q, 3);
     // Translate expected ids: rows >= 150 belong to b's 1000+ range.
     std::vector<TupleId> expect_ids;
     for (TupleId id : *expect) {
@@ -167,7 +167,7 @@ TEST(DynamicHAIndex, LeaflessModeSearchCodes) {
   DynamicHAIndex index(opts);
   ASSERT_TRUE(index.Build(codes).ok());
   // Search by id is unavailable...
-  EXPECT_TRUE(index.Search(codes[0], 3).status().IsNotImplemented());
+  EXPECT_TRUE(testutil::Search(index, codes[0], 3).status().IsNotImplemented());
   EXPECT_TRUE(index.Delete(0, codes[0]).IsNotImplemented());
   // ...but SearchCodes returns exactly the qualifying distinct codes.
   LinearScanIndex truth;
@@ -181,7 +181,7 @@ TEST(DynamicHAIndex, LeaflessModeSearchCodes) {
     got_str.erase(std::unique(got_str.begin(), got_str.end()),
                   got_str.end());
 
-    auto ids = truth.Search(q, 3).ValueOrDie();
+    auto ids = testutil::Search(truth, q, 3).ValueOrDie();
     std::vector<std::string> expect_str;
     for (TupleId id : ids) expect_str.push_back(codes[id].ToString());
     std::sort(expect_str.begin(), expect_str.end());
@@ -214,8 +214,8 @@ TEST(DynamicHAIndex, BufferFlushKeepsAnswersCorrect) {
     ASSERT_TRUE(index.Insert(static_cast<TupleId>(i), codes[i]).ok());
     ASSERT_TRUE(truth.Insert(static_cast<TupleId>(i), codes[i]).ok());
     if (i % 97 == 0) {
-      auto got = index.Search(codes[i / 2], 3);
-      auto expect = truth.Search(codes[i / 2], 3);
+      auto got = testutil::Search(index, codes[i / 2], 3);
+      auto expect = testutil::Search(truth, codes[i / 2], 3);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(Sorted(*got), Sorted(*expect)) << "after " << i;
     }
@@ -231,7 +231,7 @@ TEST(DynamicHAIndex, DeleteEverythingLeavesEmptyIndex) {
     ASSERT_TRUE(index.Delete(id, codes[id]).ok()) << id;
   }
   EXPECT_EQ(index.size(), 0u);
-  auto got = index.Search(codes[0], 32);
+  auto got = testutil::Search(index, codes[0], 32);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->empty());
   auto stats = index.Stats();
@@ -315,9 +315,9 @@ TEST(DynamicHAIndex, WindowSizeSweepStaysExact) {
       DynamicHAIndex index(opts);
       ASSERT_TRUE(index.Build(codes).ok());
       for (const auto& query : q) {
-        auto got = index.Search(query, 3);
+        auto got = testutil::Search(index, query, 3);
         ASSERT_TRUE(got.ok());
-        EXPECT_EQ(Sorted(*got), Sorted(*truth.Search(query, 3)))
+        EXPECT_EQ(Sorted(*got), Sorted(*testutil::Search(truth, query, 3)))
             << "window=" << window << " depth=" << depth;
       }
     }
@@ -406,7 +406,7 @@ TEST(DynamicHAIndex, DeserializeRejectsSharedChild) {
   auto ok = DynamicHAIndex::Deserialize(&ok_r);
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_TRUE(ok->CheckConsistency().ok());
-  EXPECT_EQ(ok->Search(leaf.value(), 0).ValueOrDie(),
+  EXPECT_EQ(testutil::Search(*ok, leaf.value(), 0).ValueOrDie(),
             std::vector<TupleId>{7});
 }
 
@@ -447,7 +447,7 @@ TEST(DynamicHAIndex, LoadsDepthFirstPayload) {
   EXPECT_EQ(stats.num_edges, 13u);
   EXPECT_EQ(stats.depth, 4u);
   const auto q = BinaryCode::FromString("101100010").ValueOrDie();
-  auto hits = index->SearchWithDistances(q, 3).ValueOrDie();
+  auto hits = testutil::SearchWithDistances(*index, q, 3).ValueOrDie();
   std::sort(hits.begin(), hits.end());
   const std::vector<std::pair<TupleId, uint32_t>> expect = {
       {0, 3}, {3, 2}, {4, 2}, {6, 1}, {9, 1}};
@@ -473,14 +473,14 @@ TEST(DynamicHAIndex, DeadNodesYieldNothingUntilTheNextLayout) {
   }
   ASSERT_GE(kept.size(), 8u);
   ASSERT_TRUE(index.CheckConsistency().ok());
-  EXPECT_TRUE(index.Search(victim, 2).ValueOrDie().empty());
+  EXPECT_TRUE(testutil::Search(index, victim, 2).ValueOrDie().empty());
   EXPECT_TRUE(index.SearchCodes(victim, 2).ValueOrDie().empty());
   EXPECT_EQ(index.ExportTuples().size(), kept.size());
   // Until the next layout the dead nodes keep their slots, so a walk over
   // the whole forest still tests them.
   auto live = index.Stats();
   obs::QueryStats walk;
-  ASSERT_TRUE(index.SearchWithDistances(victim, 32, &walk).ok());
+  ASSERT_TRUE(testutil::SearchWithDistances(index, victim, 32, &walk).ok());
   EXPECT_GT(walk.signatures_enumerated,
             live.num_internal_nodes + live.num_leaves);
   // Inserts reaching the flush threshold lay the forest out again: the
@@ -489,11 +489,11 @@ TEST(DynamicHAIndex, DeadNodesYieldNothingUntilTheNextLayout) {
     ASSERT_TRUE(index.Insert(1000 + kept[i], codes[kept[i]]).ok());
   }
   ASSERT_TRUE(index.CheckConsistency().ok());
-  EXPECT_TRUE(index.Search(victim, 2).ValueOrDie().empty());
+  EXPECT_TRUE(testutil::Search(index, victim, 2).ValueOrDie().empty());
   EXPECT_EQ(index.size(), kept.size() + 8);
   live = index.Stats();
   walk = obs::QueryStats();
-  ASSERT_TRUE(index.SearchWithDistances(victim, 32, &walk).ok());
+  ASSERT_TRUE(testutil::SearchWithDistances(index, victim, 32, &walk).ok());
   EXPECT_EQ(walk.signatures_enumerated,
             live.num_internal_nodes + live.num_leaves);
 }

@@ -16,6 +16,54 @@ using testutil::MakeIndex;
 using testutil::RandomCodes;
 
 // ---------------------------------------------------------------------------
+// One query surface, checked by the compiler: SearchBatch and KnnBatch
+// are the only public queries of every index. A requires-expression
+// honours access control, so the concept is false while a per-query
+// entry point is protected, private or absent.
+// ---------------------------------------------------------------------------
+
+// Naming the member catches any signature; an overloaded name defeats
+// &T::name, so the call forms catch those.
+template <typename T>
+concept HasPublicPerQueryEntry =
+    requires { &T::Search; } || requires { &T::Knn; } ||
+    requires { &T::SearchWithDistances; } || requires { &T::SearchOne; } ||
+    requires(const T& t, const BinaryCode& q, std::size_t n) {
+      t.Search(q, n);
+    } || requires(const T& t, const BinaryCode& q, std::size_t n) {
+      t.Knn(q, n);
+    } || requires(const T& t, const BinaryCode& q, std::size_t n) {
+      t.SearchWithDistances(q, n);
+    } || requires(const T& t, const BinaryCode& q, std::size_t n,
+                  QueryResponse* out) { t.SearchOne(q, n, out); };
+
+static_assert(!HasPublicPerQueryEntry<HammingIndex>);
+static_assert(!HasPublicPerQueryEntry<LinearScanIndex>);
+static_assert(!HasPublicPerQueryEntry<MultiHashTableIndex>);
+static_assert(!HasPublicPerQueryEntry<HEngineIndex>);
+static_assert(!HasPublicPerQueryEntry<HmSearchIndex>);
+static_assert(!HasPublicPerQueryEntry<RadixTreeIndex>);
+static_assert(!HasPublicPerQueryEntry<StaticHAIndex>);
+static_assert(!HasPublicPerQueryEntry<DynamicHAIndex>);
+static_assert(!HasPublicPerQueryEntry<ConcurrentHAIndex>);
+static_assert(!HasPublicPerQueryEntry<ConcurrentHAIndex::Snapshot>);
+
+// Positive controls: re-publishing the hook, or declaring a public
+// scalar query, satisfies the concept, so the assertions above can fail.
+struct RepublishedHook : HammingIndex {
+  using HammingIndex::SearchOne;
+};
+static_assert(HasPublicPerQueryEntry<RepublishedHook>);
+
+struct OverloadedScalarSearch {
+  Result<std::vector<TupleId>> Search(const BinaryCode& query,
+                                      std::size_t h) const;
+  Result<std::vector<TupleId>> Search(const BinaryCode& query, std::size_t h,
+                                      obs::QueryStats* stats) const;
+};
+static_assert(HasPublicPerQueryEntry<OverloadedScalarSearch>);
+
+// ---------------------------------------------------------------------------
 // Exactness sweep: (index name, code bits, clustered?, h)
 // ---------------------------------------------------------------------------
 
@@ -65,8 +113,8 @@ TEST_P(IndexExactnessTest, MatchesLinearScan) {
   if ((name == "mh4" || name == "mh10") && h > 3) exact = false;
 
   for (const auto& q : queries) {
-    auto expect = truth.Search(q, h);
-    auto got = index->Search(q, h);
+    auto expect = testutil::Search(truth, q, h);
+    auto got = testutil::Search(*index, q, h);
     ASSERT_TRUE(got.ok()) << got.status();
     if (exact) {
       EXPECT_EQ(Sorted(*got), Sorted(*expect))
@@ -86,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("linear", "mh4", "mh10", "hengine", "hmsearch",
                           "radix", "sha8", "sha4", "dha", "dha-w4",
-                          "dha-w32"),
+                          "dha-w32", "cha"),
         ::testing::Values(32u, 64u),
         ::testing::Bool(),
         ::testing::Values(0u, 1u, 3u, 6u)),
@@ -106,17 +154,17 @@ TEST_P(IndexUpdateTest, DeleteThenReinsertPreservesResults) {
   ASSERT_TRUE(index->Build(codes).ok());
 
   auto q = codes[17];
-  auto before = index->Search(q, 3);
+  auto before = testutil::Search(*index, q, 3);
   ASSERT_TRUE(before.ok());
 
   for (TupleId victim : {TupleId{17}, TupleId{200}, TupleId{299}}) {
     ASSERT_TRUE(index->Delete(victim, codes[victim]).ok()) << name;
-    auto during = index->Search(q, 3);
+    auto during = testutil::Search(*index, q, 3);
     ASSERT_TRUE(during.ok());
     for (TupleId id : *during) EXPECT_NE(id, victim);
     ASSERT_TRUE(index->Insert(victim, codes[victim]).ok());
   }
-  auto after = index->Search(q, 3);
+  auto after = testutil::Search(*index, q, 3);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Sorted(*after), Sorted(*before)) << name;
 }
@@ -145,7 +193,7 @@ TEST_P(IndexUpdateTest, IncrementalInsertFindsNewTuples) {
         index->Insert(static_cast<TupleId>(1000 + i), extra[i]).ok());
   }
   for (std::size_t i = 0; i < extra.size(); ++i) {
-    auto got = index->Search(extra[i], 0);
+    auto got = testutil::Search(*index, extra[i], 0);
     ASSERT_TRUE(got.ok());
     bool found = false;
     for (TupleId id : *got) {
@@ -158,7 +206,7 @@ TEST_P(IndexUpdateTest, IncrementalInsertFindsNewTuples) {
 INSTANTIATE_TEST_SUITE_P(
     AllIndexes, IndexUpdateTest,
     ::testing::Values("linear", "mh4", "mh10", "hengine", "hmsearch",
-                      "radix", "sha8", "dha"),
+                      "radix", "sha8", "dha", "cha"),
     PlainName);
 
 // ---------------------------------------------------------------------------
@@ -172,7 +220,7 @@ TEST(Indexes, PaperExampleSelect) {
   for (const auto& name : testutil::AllIndexNames()) {
     auto index = MakeIndex(name);
     ASSERT_TRUE(index->Build(codes).ok());
-    auto got = index->Search(tq, 3);
+    auto got = testutil::Search(*index, tq, 3);
     ASSERT_TRUE(got.ok()) << name;
     EXPECT_EQ(Sorted(*got), (std::vector<TupleId>{0, 3, 4, 6})) << name;
   }
@@ -183,7 +231,7 @@ TEST(Indexes, EmptyIndexReturnsNothing) {
     auto index = MakeIndex(name);
     ASSERT_TRUE(index->Build({}).ok()) << name;
     BinaryCode q(32);
-    auto got = index->Search(q, 3);
+    auto got = testutil::Search(*index, q, 3);
     // Empty index: either empty result or (for length-strict indexes) an
     // accepted empty probe.
     if (got.ok()) {
@@ -199,7 +247,7 @@ TEST(Indexes, DuplicateCodesAllReported) {
   for (const auto& name : testutil::AllIndexNames()) {
     auto index = MakeIndex(name);
     ASSERT_TRUE(index->Build(codes).ok());
-    auto got = index->Search(c, 0);
+    auto got = testutil::Search(*index, c, 0);
     ASSERT_TRUE(got.ok()) << name;
     EXPECT_EQ(Sorted(*got), (std::vector<TupleId>{0, 1, 2, 3, 4})) << name;
   }
@@ -213,7 +261,7 @@ TEST(Indexes, ThresholdCoveringWholeSpaceReturnsEverything) {
     auto index = MakeIndex(name, /*h_max=*/16);
     ASSERT_TRUE(index->Build(codes).ok());
     BinaryCode q(16);
-    auto got = index->Search(q, 16);
+    auto got = testutil::Search(*index, q, 16);
     ASSERT_TRUE(got.ok()) << name;
     EXPECT_EQ(got->size(), codes.size()) << name;
   }
@@ -269,13 +317,13 @@ TEST(Indexes, HEngineRejectsThresholdAboveHmax) {
   auto codes = RandomCodes(20, 32, /*seed=*/9);
   HEngineIndex index(/*h_max=*/3);
   ASSERT_TRUE(index.Build(codes).ok());
-  EXPECT_FALSE(index.Search(codes[0], 5).ok());
+  EXPECT_FALSE(testutil::Search(index, codes[0], 5).ok());
 }
 
 // ---------------------------------------------------------------------------
-// Knn on the base interface: the default radius-expanding implementation
-// (Search(h) for growing h; first-seen radius = exact distance) must
-// agree with LinearScanIndex's batched-kernel override.
+// KnnBatch on the base interface: the default radius expansion (range
+// queries at growing h) must agree with LinearScanIndex's batched-kernel
+// override.
 // ---------------------------------------------------------------------------
 
 TEST(IndexKnn, DefaultRadiusExpansionMatchesBatchedScan) {
@@ -283,14 +331,14 @@ TEST(IndexKnn, DefaultRadiusExpansionMatchesBatchedScan) {
   auto codes = RandomCodes(400, 64, /*seed=*/77, /*clusters=*/8);
   LinearScanIndex scan;
   ASSERT_TRUE(scan.Build(codes).ok());
-  auto dha = MakeIndex("dha");  // inherits the default Knn
+  auto dha = MakeIndex("dha");  // inherits the default KnnBatch
   ASSERT_TRUE(dha->Build(codes).ok());
 
   auto queries = RandomCodes(10, 64, /*seed=*/5, /*clusters=*/8);
   queries.push_back(codes[3]);  // guaranteed distance-0 hit
   for (const auto& q : queries) {
-    auto exact = scan.Knn(q, kK);
-    auto via_search = dha->Knn(q, kK);
+    auto exact = testutil::Knn(scan, q, kK);
+    auto via_search = testutil::Knn(*dha, q, kK);
     ASSERT_TRUE(exact.ok()) << exact.status();
     ASSERT_TRUE(via_search.ok()) << via_search.status();
     ASSERT_EQ(exact->size(), kK);
@@ -311,19 +359,19 @@ TEST(IndexKnn, HandlesSmallAndEmptyCases) {
     auto index = MakeIndex(name);
     ASSERT_TRUE(index->Build(codes).ok());
     // k larger than the index: everything comes back, ascending distance.
-    auto all = index->Knn(codes[0], 50);
+    auto all = testutil::Knn(*index, codes[0], 50);
     ASSERT_TRUE(all.ok()) << name;
     EXPECT_EQ(all->size(), codes.size()) << name;
     for (std::size_t i = 1; i < all->size(); ++i) {
       EXPECT_LE((*all)[i - 1].second, (*all)[i].second) << name;
     }
     // k = 0 and empty index return empty results.
-    auto none = index->Knn(codes[0], 0);
+    auto none = testutil::Knn(*index, codes[0], 0);
     ASSERT_TRUE(none.ok()) << name;
     EXPECT_TRUE(none->empty()) << name;
     auto empty = MakeIndex(name);
     ASSERT_TRUE(empty->Build({}).ok());
-    auto from_empty = empty->Knn(codes[0], 3);
+    auto from_empty = testutil::Knn(*empty, codes[0], 3);
     ASSERT_TRUE(from_empty.ok()) << name;
     EXPECT_TRUE(from_empty->empty()) << name;
   }
@@ -335,7 +383,7 @@ TEST(IndexKnn, KAtAndAboveDatasetSizeReturnsAllTuplesOnce) {
     auto index = MakeIndex(name);
     ASSERT_TRUE(index->Build(codes).ok());
     for (std::size_t k : {codes.size(), codes.size() + 1, codes.size() * 4}) {
-      auto all = index->Knn(codes[2], k);
+      auto all = testutil::Knn(*index, codes[2], k);
       ASSERT_TRUE(all.ok()) << name << " k=" << k;
       ASSERT_EQ(all->size(), codes.size()) << name << " k=" << k;
       std::vector<bool> found(codes.size(), false);
@@ -374,7 +422,7 @@ TEST(IndexKnn, DistanceTiesAtTheCutStayExact) {
                                 {3, 1},
                                 {4, 2},
                                 {6, 2}}) {
-      auto got = index->Knn(zero, k);
+      auto got = testutil::Knn(*index, zero, k);
       ASSERT_TRUE(got.ok()) << name << " k=" << k;
       ASSERT_EQ(got->size(), k) << name << " k=" << k;
       for (std::size_t i = 1; i < got->size(); ++i) {
@@ -392,9 +440,9 @@ TEST(IndexKnn, DistanceTiesAtTheCutStayExact) {
 }
 
 // ---------------------------------------------------------------------------
-// The batch-first query surface (SearchBatch / KnnBatch): every index —
-// native override or looping default — must answer a batch exactly as it
-// answers the same queries one at a time, and the per-match distances an
+// The batch query surface (SearchBatch / KnnBatch): every index — native
+// override or looping default — must answer a batch exactly as it answers
+// the same queries as batches of one, and the per-match distances an
 // index reports (has_distances) must be the true distances.
 // ---------------------------------------------------------------------------
 
@@ -419,7 +467,7 @@ TEST(BatchApi, SearchBatchMatchesScalarForEveryIndex) {
           << name;
       for (std::size_t i = 0; i < requests.size(); ++i) {
         ASSERT_TRUE(responses[i].status.ok()) << name << " query " << i;
-        auto scalar = index->Search(queries[i], h);
+        auto scalar = testutil::Search(*index, queries[i], h);
         ASSERT_TRUE(scalar.ok()) << name;
         EXPECT_EQ(responses[i].ids, *scalar)
             << name << " h=" << h << " query " << i;
@@ -455,7 +503,7 @@ TEST(BatchApi, KnnBatchMatchesScalarKnn) {
         << name;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       ASSERT_TRUE(responses[i].status.ok()) << name;
-      auto scalar = index->Knn(queries[i], requests[i].k);
+      auto scalar = testutil::Knn(*index, queries[i], requests[i].k);
       ASSERT_TRUE(scalar.ok()) << name;
       EXPECT_EQ(responses[i].neighbors, *scalar) << name << " query " << i;
     }
@@ -494,8 +542,8 @@ TEST(BatchApi, PerRequestFailureDoesNotPoisonTheBatch) {
   EXPECT_TRUE(responses[0].status.ok());
   EXPECT_TRUE(responses[1].status.IsInvalidArgument());
   EXPECT_TRUE(responses[2].status.ok());
-  EXPECT_EQ(responses[0].ids, *dha->Search(codes[0], 2));
-  EXPECT_EQ(responses[2].ids, *dha->Search(codes[1], 2));
+  EXPECT_EQ(responses[0].ids, *testutil::Search(*dha, codes[0], 2));
+  EXPECT_EQ(responses[2].ids, *testutil::Search(*dha, codes[1], 2));
 }
 
 // ---------------------------------------------------------------------------
@@ -512,9 +560,9 @@ TEST(IndexKnn, GeometricExpansionBoundsRoundsAndRecordsWaste) {
   auto queries = RandomCodes(8, 64, /*seed=*/43, /*clusters=*/8);
   for (const auto& q : queries) {
     obs::QueryStats stats;
-    auto got = dha->Knn(q, 10, &stats);
+    auto got = testutil::Knn(*dha, q, 10, &stats);
     ASSERT_TRUE(got.ok());
-    auto exact = truth.Knn(q, 10);
+    auto exact = testutil::Knn(truth, q, 10);
     ASSERT_TRUE(exact.ok());
     ASSERT_EQ(got->size(), exact->size());
     for (std::size_t i = 0; i < got->size(); ++i) {
@@ -537,7 +585,7 @@ TEST(IndexKnn, RescannedResultsCountsRadiusExpansionWaste) {
   auto dha = MakeIndex("dha");
   ASSERT_TRUE(dha->Build({zero, near}).ok());
   obs::QueryStats stats;
-  auto got = dha->Knn(zero, 2, &stats);
+  auto got = testutil::Knn(*dha, zero, 2, &stats);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->size(), 2u);
   EXPECT_EQ(stats.radius_expansions, 2u);

@@ -54,7 +54,8 @@ TEST(MultiHashTable, SerializationRoundTrip) {
   EXPECT_EQ(back.size(), index.size());
   auto queries = testutil::RandomCodes(10, 32, /*seed=*/6, /*clusters=*/8);
   for (const auto& q : queries) {
-    EXPECT_EQ(Sorted(*back.Search(q, 3)), Sorted(*index.Search(q, 3)));
+    EXPECT_EQ(Sorted(*testutil::Search(back, q, 3)),
+              Sorted(*testutil::Search(index, q, 3)));
   }
 }
 

@@ -98,7 +98,7 @@ TEST(ServingBatch, KnnCoalescingMatchesScalar) {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     ServeResult r = futures[i].get();
     ASSERT_TRUE(r.response.status.ok()) << r.response.status;
-    auto scalar = fx.dha.Knn(queries[i], 7);
+    auto scalar = testutil::Knn(fx.dha, queries[i], 7);
     ASSERT_TRUE(scalar.ok());
     EXPECT_EQ(r.response.neighbors, *scalar) << "query " << i;
   }
@@ -251,7 +251,7 @@ TEST(ServingAdmission, BadIndexIdRejected) {
 // The TSan centerpiece: many client threads, mixed kinds, both shared
 // indexes, deadlines sprinkled in, plus a metrics registry recording
 // concurrently — every completed range response is verified against a
-// concurrent scalar Search on the same shared index.
+// concurrent batch of one on the same shared index.
 TEST(ServingStress, MixedLoadOverSharedIndexes) {
   ServingFixture fx(600);
   obs::MetricsRegistry metrics;
@@ -295,7 +295,7 @@ TEST(ServingStress, MixedLoadOverSharedIndexes) {
           ++ok_count;
           if (!knn) {
             const HammingIndex* index = fx.Indexes()[index_id];
-            auto ref = index->Search(q, 3);
+            auto ref = testutil::Search(*index, q, 3);
             if (!ref.ok() || got->response.ids != *ref) ++mismatch;
           }
         }

@@ -125,7 +125,8 @@ TEST_F(StorageTest, IndexRoundTrip) {
   ASSERT_TRUE(back.ok()) << back.status();
   auto queries = testutil::RandomCodes(10, 32, /*seed=*/4, /*clusters=*/8);
   for (const auto& q : queries) {
-    EXPECT_EQ(Sorted(*back->Search(q, 3)), Sorted(*index.Search(q, 3)));
+    EXPECT_EQ(Sorted(*testutil::Search(*back, q, 3)),
+              Sorted(*testutil::Search(index, q, 3)));
   }
 }
 
@@ -175,7 +176,7 @@ bool LoadAndTraverse(const std::vector<uint8_t>& bytes) {
   if (!tuples.empty()) queries.push_back(tuples.front().second);
   for (const auto& q : queries) {
     for (std::size_t h : {0, 3, 512}) {
-      auto got = idx->SearchWithDistances(q, h);
+      auto got = testutil::SearchWithDistances(*idx, q, h);
       if (got.ok()) {
         EXPECT_LE(got->size(), idx->size());
       }

@@ -3,10 +3,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "code/binary_code.h"
+#include "index/concurrent_ha_index.h"
 #include "index/dynamic_ha_index.h"
 #include "index/hamming_index.h"
 #include "index/hengine.h"
@@ -57,7 +59,7 @@ inline std::vector<BinaryCode> RandomCodes(std::size_t n, std::size_t bits,
 inline std::vector<std::string> AllIndexNames() {
   return {"linear", "mh4",  "mh10", "hengine", "hmsearch",
           "radix",  "sha8", "sha4", "dha",     "dha-w4",
-          "dha-w32"};
+          "dha-w32", "cha"};
 }
 
 /// \brief Factory keyed by name; h_max sizes the signature indexes.
@@ -86,7 +88,62 @@ inline std::unique_ptr<HammingIndex> MakeIndex(const std::string& name,
     o.window = 32;
     return std::make_unique<DynamicHAIndex>(o);
   }
+  if (name == "cha") return std::make_unique<ConcurrentHAIndex>();
   return nullptr;
+}
+
+/// \brief One range query as a batch of one. A failed response turns
+/// into the result's status.
+inline Result<QueryResponse> RangeQuery(const HammingIndex& index,
+                                        const BinaryCode& query,
+                                        std::size_t h) {
+  const QueryRequest req = QueryRequest::Range(query, h);
+  QueryResponse resp;
+  HAMMING_RETURN_NOT_OK(index.SearchBatch({&req, 1}, {&resp, 1}));
+  HAMMING_RETURN_NOT_OK(resp.status);
+  return resp;
+}
+
+/// \brief The ids within distance h of `query`; `stats`, when non-null,
+/// accumulates the query's work counters.
+inline Result<std::vector<TupleId>> Search(const HammingIndex& index,
+                                           const BinaryCode& query,
+                                           std::size_t h,
+                                           obs::QueryStats* stats = nullptr) {
+  HAMMING_ASSIGN_OR_RETURN(QueryResponse resp, RangeQuery(index, query, h));
+  if (stats != nullptr) *stats += resp.stats;
+  return std::move(resp.ids);
+}
+
+/// \brief The (id, distance) pairs within distance h of `query`, for an
+/// index that reports distances (NotImplemented otherwise).
+inline Result<std::vector<std::pair<TupleId, uint32_t>>> SearchWithDistances(
+    const HammingIndex& index, const BinaryCode& query, std::size_t h,
+    obs::QueryStats* stats = nullptr) {
+  HAMMING_ASSIGN_OR_RETURN(QueryResponse resp, RangeQuery(index, query, h));
+  if (stats != nullptr) *stats += resp.stats;
+  if (!resp.has_distances) {
+    return Status::NotImplemented(index.name() + " reported no distances");
+  }
+  std::vector<std::pair<TupleId, uint32_t>> out;
+  out.reserve(resp.ids.size());
+  for (std::size_t i = 0; i < resp.ids.size(); ++i) {
+    out.emplace_back(resp.ids[i], resp.distances[i]);
+  }
+  return out;
+}
+
+/// \brief The k nearest tuples to `query` as (id, distance) ascending,
+/// as a kNN batch of one.
+inline Result<std::vector<std::pair<TupleId, uint32_t>>> Knn(
+    const HammingIndex& index, const BinaryCode& query, std::size_t k,
+    obs::QueryStats* stats = nullptr) {
+  const QueryRequest req = QueryRequest::Knn(query, k);
+  QueryResponse resp;
+  HAMMING_RETURN_NOT_OK(index.KnnBatch({&req, 1}, {&resp, 1}));
+  HAMMING_RETURN_NOT_OK(resp.status);
+  if (stats != nullptr) *stats += resp.stats;
+  return std::move(resp.neighbors);
 }
 
 /// \brief The Table 2a example codes from the paper.

@@ -3,7 +3,7 @@
 
 Runs three AST-level passes over the translation units listed in the
 build's compile_commands.json (python3 stdlib only; see frontend.py for
-the C++ micro-frontend and the optional libclang enrichment path):
+the C++ micro-frontend):
 
   [lock-order]   Extracts every mutex acquisition (MutexLock /
                  ReleasableMutexLock RAII sites, manual Lock/Unlock,
@@ -48,7 +48,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import frontend  # noqa: E402
 from frontend import Program, parse_file  # noqa: E402
 
 try:
@@ -778,7 +777,7 @@ def collect_files(root, build_dir, spec):
                 if n.endswith(".h"):
                     files.add(os.path.realpath(
                         os.path.join(dirpath, n)))
-    return sorted(files), cc_path
+    return sorted(files)
 
 
 def run_passes(prog, spec, root):
@@ -1005,10 +1004,6 @@ def main(argv):
     ap.add_argument("--baseline", default=None,
                     help="findings baseline (default: baseline.json "
                          "next to this script)")
-    ap.add_argument("--frontend", choices=["internal", "clang"],
-                    default="internal",
-                    help="clang uses python libclang bindings when "
-                         "importable (falls back to internal)")
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("--list-locks", action="store_true",
                     help="print every lock identity with example sites")
@@ -1032,16 +1027,9 @@ def main(argv):
         print(f"analyze: bad spec {spec_path}: {e}", file=sys.stderr)
         return 2
     try:
-        files, cc_path = collect_files(
+        files = collect_files(
             root, os.path.join(root, args.build_dir), spec)
         prog = build_program(root, files, spec, verbose=args.verbose)
-        if args.frontend == "clang":
-            if frontend.try_clang_enrich(prog, cc_path,
-                                         verbose=args.verbose):
-                print("analyze: libclang type enrichment active")
-            else:
-                print("analyze: libclang unavailable; internal "
-                      "frontend only")
         an, findings = run_passes(prog, spec, root)
     except RuntimeError as e:
         print(f"analyze: {e}", file=sys.stderr)

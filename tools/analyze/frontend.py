@@ -5,22 +5,10 @@ streams (lock acquisitions, releases, condition-variable waits, calls,
 epoch pins, scope boundaries) plus class/member/param type maps used to
 resolve lock identities and call receivers.
 
-Two frontends share this IR:
-
-  * InternalFrontend (default) — a self-contained tokenizer + structural
-    parser, python3 stdlib only.  It is not a C++ parser; it is a
-    micro-frontend tuned to this repository's idiom (see DESIGN.md
-    §4.16 for the modelled subset and its documented approximations).
-    This is the frontend exercised by --self-test and the one CI runs.
-
-  * clang.cindex (optional, --frontend=clang) — when the python libclang
-    bindings are importable, declaration/type information is taken from
-    libclang cursors instead of the structural parser, keyed off
-    compile_commands.json.  Body events still come from the token
-    scanner (libclang's expression cursors are incomplete inside
-    templates, which this tree uses heavily).  The toolchain image used
-    by CI has no libclang, so this path is gated and best-effort: any
-    failure falls back to the internal frontend with a warning.
+The frontend is a self-contained tokenizer + structural parser, python3
+stdlib only.  It is not a C++ parser; it is a micro-frontend tuned to
+this repository's idiom (see DESIGN.md §4.16 for the modelled subset and
+its documented approximations).
 
 Modelled synchronization vocabulary (src/common/sync.h):
   MutexLock / ReleasableMutexLock RAII sites, manual Mutex::Lock /
@@ -46,7 +34,6 @@ Known, deliberate approximations (kept in sync with DESIGN.md):
 from __future__ import annotations
 
 import bisect
-import os
 import re
 
 # --------------------------------------------------------------------------
@@ -1733,53 +1720,3 @@ class Program:
             return cands[:cap]
         return []
 
-
-def try_clang_enrich(program: Program, compile_commands: str,
-                     verbose=False) -> bool:
-    """Optional libclang pass: when python clang bindings are available,
-    replace the structural parser's member/param type maps with
-    cursor-accurate ones.  Returns True when enrichment ran.  Body
-    events always come from the token scanner (see module docstring)."""
-    try:
-        from clang import cindex  # type: ignore
-    except Exception:
-        return False
-    try:
-        index = cindex.Index.create()
-    except Exception as e:  # pragma: no cover - depends on local install
-        if verbose:
-            print(f"analyze: libclang unavailable ({e}); "
-                  "using internal frontend")
-        return False
-    import json
-    try:
-        with open(compile_commands, encoding="utf-8") as f:
-            entries = json.load(f)
-    except OSError:
-        return False
-    ran = False
-    for entry in entries:
-        path = os.path.realpath(entry["file"])
-        if path not in {os.path.realpath(p) for p in program.files}:
-            continue
-        args = [a for a in entry.get("command", "").split()[1:]
-                if not a.endswith(".cc") and a != "-c" and a != "-o"]
-        try:
-            tu = index.parse(path, args=args)
-        except Exception:  # pragma: no cover
-            continue
-        ran = True
-        for cur in tu.cursor.walk_preorder():
-            try:
-                if cur.kind == cindex.CursorKind.FIELD_DECL and \
-                        cur.semantic_parent is not None:
-                    cls = program.classes.get(
-                        cur.semantic_parent.spelling)
-                    if cls is not None:
-                        toks = re.findall(r"\w+|::|<|>|,",
-                                          cur.type.spelling)
-                        cls.members[cur.spelling] = core_type_of(
-                            toks, program.aliases)
-            except Exception:  # pragma: no cover
-                continue
-    return ran

@@ -32,15 +32,6 @@ Enforced invariants (rule ids in brackets):
                    families. Dynamic names built from a prefix
                    expression (QueryStatsHistograms, epoch.*) don't
                    match the literal pattern and are exempt by design.
-  [batch-first]    Library code under src/ (outside src/index/, which
-                   implements the scalar hooks) never calls the scalar
-                   HammingIndex::Search/Knn entry points — all query
-                   traffic goes through SearchBatch/KnnBatch so the
-                   coalesced kernel plans (and, for ConcurrentHAIndex,
-                   the one-epoch-per-batch snapshot guarantee) apply.
-                   Tests/bench/examples are exempt: scalar calls there
-                   exercise the per-family hooks or non-HammingIndex
-                   searcher APIs with same-named methods.
   [kernel-tu]      SIMD kernel translation units keep their -m<isa>
                    flags: every TU in KERNEL_TU_FLAGS that appears in
                    compile_commands.json must be compiled with all of
@@ -132,11 +123,6 @@ METRIC_CALL_PATTERN = re.compile(r"\bHAMMING_METRIC_(ADD|SET|OBSERVE)\s*\(")
 # comparisons ==, <=, >=, !=).
 SIDE_EFFECT_PATTERN = re.compile(
     r"\+\+|--|<<=|>>=|[+\-*/%&|^]=(?!=)|(?<![=!<>+\-*/%&|^])=(?!=)")
-
-# Scalar Search( / Knn( through a member access. The open paren must
-# immediately follow the name, so SearchBatch(, SearchWithDistances(,
-# SearchCodes( and KnnBatch( never match.
-BATCH_FIRST_PATTERN = re.compile(r"(\.|->)(Search|Knn)\(")
 
 
 class Violation:
@@ -344,27 +330,6 @@ def check_raw_sync(root: str, violations: list):
                     f"raw '{m.group(0).strip()}' outside src/common/ — use "
                     "the annotated wrappers in common/sync.h "
                     "(Mutex/MutexLock/CondVar/Thread)"))
-
-
-# --------------------------------------------------------------------------
-# Rule: batch-first
-# --------------------------------------------------------------------------
-
-
-def check_batch_first(root: str, violations: list):
-    for path in iter_source_files(root, ["src"]):
-        r = rel(root, path)
-        if r.startswith("src/index/"):
-            continue  # the directory that *implements* the scalar hooks
-        text = strip_comments_and_strings(open(path, encoding="utf-8").read())
-        for i, line in enumerate(text.split("\n"), start=1):
-            m = BATCH_FIRST_PATTERN.search(line)
-            if m:
-                violations.append(Violation(
-                    r, i, "batch-first",
-                    f"scalar '{m.group(2)}(' call — library code is "
-                    "batch-first; route queries through "
-                    "SearchBatch/KnnBatch (batch of one if need be)"))
 
 
 # --------------------------------------------------------------------------
@@ -619,8 +584,6 @@ FIXTURES = {
     # The (void)-discard fixtures that used to live here moved with the
     # [nodiscard] rule to tools/analyze/selftest/ (bad_discard_*.cc,
     # good_discard.cc), asserted by `analyze.py --self-test`.
-    "src/ops/bad_scalar.cc":
-        ("void f() { auto hits = idx->Search(q, 3); }\n", "batch-first"),
     "src/ops/bad_metric_name.cc":
         ('void f() { auto id = reg->Counter("Serving.QueueDepth"); }\n',
          "metric-name"),
@@ -637,15 +600,6 @@ FIXTURES = {
     "src/ops/good_metric.cc":
         ("void f(int x) { HAMMING_METRIC_ADD(reg, id, x <= 3 ? 1 : 2); }\n",
          None),
-    "src/ops/good_batch.cc":
-        ("void f() {\n"
-         "  // a comment saying idx->Search(q, 3) is fine\n"
-         "  auto s1 = idx->SearchBatch(reqs, resps);\n"
-         "  auto s2 = idx.KnnBatch(reqs, resps);\n"
-         "  auto s3 = idx->SearchWithDistances(q, 3);\n"
-         "}\n", None),
-    "src/index/good_scalar_hook.cc":
-        ("void f() { auto hits = idx->Search(q, 3); }\n", None),
     "src/ops/good_metric_name.cc":
         ("void f(const std::string& prefix) {\n"
          '  auto id = reg->Counter("serving.accepted");\n'
@@ -782,7 +736,6 @@ def run_checks(root: str, build_dir) -> list:
     violations = []
     check_layering(root, violations)
     check_raw_sync(root, violations)
-    check_batch_first(root, violations)
     check_metric_args(root, violations)
     check_metric_names(root, violations)
     if build_dir:
