@@ -1,26 +1,35 @@
-// Fuzz harness for the shuffle serialization layer (common/serde.h).
+// Fuzz harness for the shuffle serialization layer (common/serde.h) and
+// the join plans' record codecs on top of it (mrjoin/common.h).
 //
-// Two phases per input:
+// Three phases per input:
 //  1. Decode: the input bytes are treated as a hostile buffer and read
 //     through every BufferReader getter in a rotating order. Every
 //     getter must either succeed or return a Status — out-of-bounds
 //     reads, varint overflow (> 10 bytes / bit 63) and overlong
 //     encodings are the interesting paths.
-//  2. Round-trip: the input also picks a sequence of typed values that
-//     are written with BufferWriter and read back; any mismatch traps.
+//  2. Record codecs: the whole input is decoded as a vector record, a
+//     code record and a pair block. Each must return a Status (a lying
+//     element count must not allocate), and whatever decodes must
+//     encode back to the same record.
+//  3. Round-trip: the input also picks a sequence of typed values that
+//     are written with BufferWriter (with fuzz-chosen Reserve calls in
+//     between) and read back; any mismatch traps.
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/serde.h"
 #include "fuzz_targets.h"
+#include "mrjoin/common.h"
 
 namespace hamming_fuzz {
 namespace {
 
 using hamming::BufferReader;
 using hamming::BufferWriter;
+using hamming::JoinPair;
 using hamming::Status;
+namespace mrjoin = hamming::mrjoin;
 
 void DecodePhase(const uint8_t* data, std::size_t size) {
   if (size == 0) return;
@@ -79,6 +88,24 @@ void DecodePhase(const uint8_t* data, std::size_t size) {
   }
 }
 
+void RecordCodecPhase(const uint8_t* data, std::size_t size) {
+  const std::vector<uint8_t> bytes(data, data + size);
+  auto vec = mrjoin::DecodeVectorTuple(bytes);
+  if (vec.ok()) HAMMING_FUZZ_CHECK(mrjoin::EncodeVectorTuple(*vec) == bytes);
+  auto code = mrjoin::DecodeCodeTuple(bytes);
+  if (code.ok()) {
+    // A code's unused tail bits are masked on decode, so only the
+    // decoded tuple, not the input, is guaranteed to round-trip.
+    auto again = mrjoin::DecodeCodeTuple(mrjoin::EncodeCodeTuple(*code));
+    HAMMING_FUZZ_CHECK(again.ok() && again->table == code->table &&
+                       again->id == code->id && again->code == code->code);
+  }
+  std::vector<JoinPair> pairs;
+  const Status s = mrjoin::DecodePairBlock(bytes, &pairs);
+  HAMMING_FUZZ_CHECK(s.ok() == (size % 8 == 0));
+  if (s.ok()) HAMMING_FUZZ_CHECK(mrjoin::EncodePairBlock(pairs) == bytes);
+}
+
 void RoundTripPhase(const uint8_t* data, std::size_t size) {
   // Consume (op, value) pairs: 1 tag byte + 8 little-endian value bytes.
   BufferWriter writer;
@@ -86,7 +113,10 @@ void RoundTripPhase(const uint8_t* data, std::size_t size) {
   for (std::size_t i = 0; i + 9 <= size && script.size() < 512; i += 9) {
     uint64_t v = 0;
     std::memcpy(&v, data + i + 1, 8);
-    const unsigned tag = data[i] % 6;
+    const unsigned tag = data[i] % 7;
+    // The tag byte's high bits ask for a Reserve first; reserving must
+    // never change what is written.
+    if (data[i] & 0x80) writer.Reserve(v % 256);
     script.emplace_back(tag, v);
     switch (tag) {
       case 0: writer.PutVarint64(v); break;
@@ -98,9 +128,15 @@ void RoundTripPhase(const uint8_t* data, std::size_t size) {
         writer.PutString(s);
         break;
       }
-      default: {
+      case 5: {
         std::vector<uint8_t> bytes(v % 64, static_cast<uint8_t>(v));
         writer.PutBytes(bytes.data(), bytes.size());
+        break;
+      }
+      default: {
+        double d;
+        std::memcpy(&d, &v, sizeof(d));
+        writer.PutDouble(d);
         break;
       }
     }
@@ -139,11 +175,20 @@ void RoundTripPhase(const uint8_t* data, std::size_t size) {
                            std::string(v % 64, static_cast<char>('a' + v % 26)));
         break;
       }
-      default: {
+      case 5: {
         std::vector<uint8_t> got;
         HAMMING_FUZZ_CHECK(reader.GetBytes(&got).ok());
         HAMMING_FUZZ_CHECK(
             got == std::vector<uint8_t>(v % 64, static_cast<uint8_t>(v)));
+        break;
+      }
+      default: {
+        // Compare bit patterns: a NaN payload must survive unchanged.
+        double got;
+        HAMMING_FUZZ_CHECK(reader.GetDouble(&got).ok());
+        uint64_t bits;
+        std::memcpy(&bits, &got, sizeof(bits));
+        HAMMING_FUZZ_CHECK(bits == v);
         break;
       }
     }
@@ -155,6 +200,7 @@ void RoundTripPhase(const uint8_t* data, std::size_t size) {
 
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size) {
   DecodePhase(data, size);
+  RecordCodecPhase(data, size);
   RoundTripPhase(data, size);
 }
 

@@ -14,8 +14,10 @@
 namespace hamming_fuzz {
 
 /// Drives common/serde.h: decodes the input as an op stream against a
-/// BufferReader (bounds/overflow paths) and round-trips fuzz-chosen
-/// values through BufferWriter -> BufferReader, trapping on mismatch.
+/// BufferReader (bounds/overflow paths), decodes it as a vector record,
+/// a code record and a pair block (mrjoin/common.h), and round-trips
+/// fuzz-chosen values through BufferWriter -> BufferReader, trapping on
+/// mismatch.
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size);
 
 /// Drives storage/file_io.h: writes the input bytes to a temp file and

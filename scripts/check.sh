@@ -6,7 +6,9 @@
 # there too, for the arena's offset arithmetic and the layout pass, and
 # so do the batch query suites (BatchApi, IndexKnn, ConcurrentIndex*),
 # whose default loops write into reused responses and whose snapshot
-# plan compacts ids and distances in place), plus the MapReduce
+# plan compacts ids and distances in place, and so do Serde.* and
+# MrJoin*, for the presized fixed-width writes, the pair-block
+# encode/decode and the hostile-record decoder checks), plus the MapReduce
 # attempt/speculation layer under ThreadSanitizer (backup attempts,
 # cancel tokens, and the commit race are cross-thread protocols).
 #
@@ -242,7 +244,7 @@ else
     >/dev/null
   cmake --build build-asan -j --target hamming_tests
   ./build-asan/tests/hamming_tests \
-    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*:BatchApi.*:IndexKnn.*:ConcurrentIndex*'
+    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*:BatchApi.*:IndexKnn.*:ConcurrentIndex*:Serde.*:MrJoin*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-asan/tests/hamming_tests \
     --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'

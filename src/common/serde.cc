@@ -2,14 +2,6 @@
 
 namespace hamming {
 
-void BufferWriter::PutFixed32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void BufferWriter::PutFixed64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
 void BufferWriter::PutVarint64(uint64_t v) {
   while (v >= 0x80) {
     buf_.push_back(static_cast<uint8_t>(v) | 0x80);
@@ -22,12 +14,6 @@ void BufferWriter::PutVarint64Signed(int64_t v) {
   uint64_t zz = (static_cast<uint64_t>(v) << 1) ^
                 static_cast<uint64_t>(v >> 63);
   PutVarint64(zz);
-}
-
-void BufferWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutFixed64(bits);
 }
 
 void BufferWriter::PutBytes(const void* data, std::size_t len) {
@@ -46,9 +32,8 @@ void BufferWriter::PutRaw(const void* data, std::size_t len) {
 
 Status BufferReader::GetFixed32(uint32_t* out) {
   if (remaining() < 4) return Status::IOError("truncated fixed32");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-  *out = v;
+  *out = DecodeFixed32(data_ + pos_);
+  pos_ += 4;
   return Status::OK();
 }
 

@@ -16,20 +16,46 @@
 
 namespace hamming {
 
+/// \brief Loads a little-endian fixed32 from p[0..4).
+inline uint32_t DecodeFixed32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
+/// \brief Bytes PutVarint64(v) appends (1..10).
+inline std::size_t VarintLength(uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 /// \brief Appends primitive values to a growable byte buffer.
 class BufferWriter {
  public:
   BufferWriter() = default;
 
-  /// \brief Appends a little-endian fixed-width integer.
-  void PutFixed32(uint32_t v);
-  void PutFixed64(uint64_t v);
+  /// \brief Makes room for `n` more bytes, so a writer that knows its
+  /// record's size allocates once.
+  void Reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
+  /// \brief Appends a little-endian fixed-width integer through one
+  /// resize.
+  void PutFixed32(uint32_t v) { PutLittleEndian(v, 4); }
+  void PutFixed64(uint64_t v) { PutLittleEndian(v, 8); }
   /// \brief Appends a LEB128 varint.
   void PutVarint64(uint64_t v);
   /// \brief Varint-encodes a signed value with zigzag.
   void PutVarint64Signed(int64_t v);
   /// \brief Appends an IEEE-754 double (8 bytes).
-  void PutDouble(double v);
+  void PutDouble(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    PutFixed64(bits);
+  }
   /// \brief Appends length-prefixed bytes.
   void PutBytes(const void* data, std::size_t len);
   /// \brief Appends a length-prefixed string.
@@ -43,6 +69,14 @@ class BufferWriter {
   void Clear() { buf_.clear(); }
 
  private:
+  void PutLittleEndian(uint64_t v, std::size_t width) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + width);
+    for (std::size_t i = 0; i < width; ++i) {
+      buf_[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
   std::vector<uint8_t> buf_;
 };
 

@@ -8,6 +8,14 @@
 //  * vector records — (table tag, tuple id, full d-dimensional vector).
 //    PGBJ must ship these because it joins in the original metric space;
 //    its shuffle grows with d and with replication.
+//
+// A third family never crosses the shuffle:
+//  * pair blocks — the (r, s) join pairs one reducer call found, as
+//    little-endian fixed32 pairs back to back under an empty key. They
+//    are final reducer output that the plan decodes with
+//    CollectJoinPairs and never re-shuffles, so they charge no
+//    SHUFFLE_BYTES; one block per probe batch or key group replaces one
+//    heap-allocated record per pair.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +25,10 @@
 #include "code/binary_code.h"
 #include "common/result.h"
 #include "dataset/matrix.h"
+#include "index/hamming_index.h"
 #include "join/centralized_join.h"
 #include "mapreduce/job.h"
+#include "observability/metrics.h"
 
 namespace hamming::mrjoin {
 
@@ -70,27 +80,48 @@ struct VectorTuple {
   std::vector<double> vec;
 };
 
-/// \brief Encodes/decodes a CodeTuple into a record value.
+/// \brief Encodes/decodes a CodeTuple into a record value. Decoding
+/// returns IOError on an unknown table tag, an id above UINT32_MAX, a
+/// malformed code or trailing bytes.
 std::vector<uint8_t> EncodeCodeTuple(const CodeTuple& t);
 Result<CodeTuple> DecodeCodeTuple(const std::vector<uint8_t>& bytes);
 
-/// \brief Encodes/decodes a VectorTuple into a record value.
+/// \brief Encodes/decodes a VectorTuple into a record value. Decoding
+/// returns IOError on an unknown table tag, an id above UINT32_MAX, an
+/// element count the remaining bytes cannot hold (checked before
+/// allocating) or trailing bytes.
 std::vector<uint8_t> EncodeVectorTuple(const VectorTuple& t);
 Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes);
 
-/// \brief Encodes/decodes a join pair (r_id, s_id).
-std::vector<uint8_t> EncodeJoinPair(const JoinPair& p);
-Result<JoinPair> DecodeJoinPair(const std::vector<uint8_t>& bytes);
+/// \brief Encodes join pairs as one pair block: fixed32 r, fixed32 s per
+/// pair, in order, in one exactly sized buffer.
+std::vector<uint8_t> EncodePairBlock(std::span<const JoinPair> pairs);
+
+/// \brief Appends a pair block's pairs to `out`, in order; IOError when
+/// the block's length is not a multiple of 8.
+Status DecodePairBlock(const std::vector<uint8_t>& block,
+                       std::vector<JoinPair>* out);
 
 /// \brief A fixed32 partition-id key (keeps keys tiny and orderable).
 std::vector<uint8_t> PartitionKey(uint32_t partition);
 Result<uint32_t> DecodePartitionKey(const std::vector<uint8_t>& key);
 
 /// \brief Wraps every row of a matrix into vector records of one table
-/// (key left empty; mappers key their own output).
+/// (key left empty; mappers key their own output). Each row is encoded
+/// straight from the matrix into an exactly sized value.
 std::vector<mr::Record> MatrixToRecords(const FloatMatrix& data, Table table);
 
-/// \brief Flattens reducer outputs of join pairs into one list.
+/// \brief The probe reducer MRHA Option A and PMH share. It decodes the
+/// group's code records, range-searches `index` at radius `h` in
+/// batches of 64 probes, observes each probe's QueryStats into the
+/// `query.*` histograms when `metrics` is set, and emits one pair block
+/// per batch that matched anything, pairs (r, s) in probe order.
+/// `index` must outlive every job the reducer runs in.
+mr::ReduceFn ProbeReducer(const HammingIndex& index, std::size_t h,
+                          obs::MetricsRegistry* metrics);
+
+/// \brief Decodes every reducer's pair blocks into one presized list,
+/// in reducer, block and emission order.
 Result<std::vector<JoinPair>> CollectJoinPairs(
     const std::vector<std::vector<mr::Record>>& outputs);
 

@@ -175,49 +175,10 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
   // Per-probe H-Search work histograms ("query.candidates", ...) when the
   // caller attached a metrics registry; each S tuple's search is one sample.
   obs::MetricsRegistry* metrics = opts.exec.metrics;
-  const obs::QueryStatsHistograms query_hists =
-      obs::QueryStatsHistograms::Register(metrics);
 
   if (opts.option == MrhaOption::kA) {
     // Reducers H-Search the broadcast index and emit (r, s) directly.
-    join_job.reduce_fn =
-        [index_ptr, h, metrics, query_hists](
-            const std::vector<uint8_t>&,
-            const std::vector<std::vector<uint8_t>>& values,
-            mr::Emitter* out) -> Status {
-      // Probe the broadcast index in coalesced batches; each response
-      // still carries its own per-query work counters for the
-      // histograms (one sample per S tuple, as before).
-      constexpr std::size_t kProbeBatch = 64;
-      std::vector<TupleId> s_ids;
-      std::vector<QueryRequest> reqs;
-      s_ids.reserve(kProbeBatch);
-      reqs.reserve(kProbeBatch);
-      std::vector<QueryResponse> resps;
-      for (std::size_t begin = 0; begin < values.size();
-           begin += kProbeBatch) {
-        const std::size_t count =
-            std::min(kProbeBatch, values.size() - begin);
-        s_ids.clear();
-        reqs.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          HAMMING_ASSIGN_OR_RETURN(CodeTuple t,
-                                   DecodeCodeTuple(values[begin + i]));
-          s_ids.push_back(t.id);
-          reqs.push_back(QueryRequest::Range(std::move(t.code), h));
-        }
-        resps.resize(count);
-        HAMMING_RETURN_NOT_OK(index_ptr->SearchBatch(reqs, resps));
-        for (std::size_t i = 0; i < count; ++i) {
-          HAMMING_RETURN_NOT_OK(resps[i].status);
-          if (metrics != nullptr) query_hists.Observe(metrics, resps[i].stats);
-          for (TupleId r : resps[i].ids) {
-            out->Emit({}, EncodeJoinPair({r, s_ids[i]}));
-          }
-        }
-      }
-      return Status::OK();
-    };
+    join_job.reduce_fn = ProbeReducer(global_index, h, metrics);
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult join_result,
                              RunJob(join_job, cluster));
     plan_counters.Merge(join_result.counters);
@@ -226,6 +187,8 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
   } else {
     // Option B: reducers emit (qualifying R code, s id); a post-processing
     // hash join resolves codes to R tuple ids.
+    const obs::QueryStatsHistograms query_hists =
+        obs::QueryStatsHistograms::Register(metrics);
     join_job.reduce_fn =
         [index_ptr, h, metrics, query_hists](
             const std::vector<uint8_t>&,
@@ -293,9 +256,13 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
           s_ids.push_back(t.id);
         }
       }
+      // One pair block per key group: r_ids x s_ids, r-major.
+      std::vector<JoinPair> block;
+      block.reserve(r_ids.size() * s_ids.size());
       for (TupleId r : r_ids) {
-        for (TupleId s : s_ids) out->Emit({}, EncodeJoinPair({r, s}));
+        for (TupleId s : s_ids) block.push_back({r, s});
       }
+      if (!block.empty()) out->Emit({}, EncodePairBlock(block));
       return Status::OK();
     };
     HAMMING_ASSIGN_OR_RETURN(mr::JobResult post_result,

@@ -5,7 +5,6 @@
 #include "common/rng.h"
 #include "dataset/sampling.h"
 #include "index/multi_hash_table.h"
-#include "observability/query_stats.h"
 
 namespace hamming::mrjoin {
 
@@ -64,8 +63,6 @@ Result<PmhResult> RunPmhJoin(const FloatMatrix& r_data,
   // One MapReduce job: partition S by code hash; each reducer probes the
   // broadcast R index with its S partition.
   const SpectralHashing* hash_ptr = hash_raw;
-  const MultiHashTableIndex* r_index_ptr = &r_index;
-  const std::size_t h = opts.h;
 
   mr::JobSpec job;
   job.name = "pmh-join";
@@ -83,45 +80,10 @@ Result<PmhResult> RunPmhJoin(const FloatMatrix& r_data,
     out->Emit(PartitionKey(part), EncodeCodeTuple(ct));
     return Status::OK();
   };
-  // Per-probe search-work histograms when a metrics registry is attached.
-  obs::MetricsRegistry* metrics = opts.exec.metrics;
-  const obs::QueryStatsHistograms query_hists =
-      obs::QueryStatsHistograms::Register(metrics);
-  job.reduce_fn = [r_index_ptr, h, metrics, query_hists](
-                      const std::vector<uint8_t>&,
-                      const std::vector<std::vector<uint8_t>>& values,
-                      mr::Emitter* out) -> Status {
-    // One group per reducer: probe the broadcast R index with every S
-    // tuple of this partition, in coalesced batches (one sample per
-    // probe still lands in the work histograms).
-    constexpr std::size_t kProbeBatch = 64;
-    std::vector<TupleId> s_ids;
-    std::vector<QueryRequest> reqs;
-    s_ids.reserve(kProbeBatch);
-    reqs.reserve(kProbeBatch);
-    std::vector<QueryResponse> resps;
-    for (std::size_t begin = 0; begin < values.size(); begin += kProbeBatch) {
-      const std::size_t count = std::min(kProbeBatch, values.size() - begin);
-      s_ids.clear();
-      reqs.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        HAMMING_ASSIGN_OR_RETURN(CodeTuple t,
-                                 DecodeCodeTuple(values[begin + i]));
-        s_ids.push_back(t.id);
-        reqs.push_back(QueryRequest::Range(std::move(t.code), h));
-      }
-      resps.resize(count);
-      HAMMING_RETURN_NOT_OK(r_index_ptr->SearchBatch(reqs, resps));
-      for (std::size_t i = 0; i < count; ++i) {
-        HAMMING_RETURN_NOT_OK(resps[i].status);
-        if (metrics != nullptr) query_hists.Observe(metrics, resps[i].stats);
-        for (TupleId r : resps[i].ids) {
-          out->Emit({}, EncodeJoinPair({r, s_ids[i]}));
-        }
-      }
-    }
-    return Status::OK();
-  };
+  // One group per reducer: probe the broadcast R index with every S
+  // tuple of this partition (per-probe search-work histograms when a
+  // metrics registry is attached).
+  job.reduce_fn = ProbeReducer(r_index, opts.h, opts.exec.metrics);
   HAMMING_ASSIGN_OR_RETURN(mr::JobResult job_result, RunJob(job, cluster));
   plan_counters.Merge(job_result.counters);
   HAMMING_ASSIGN_OR_RETURN(result.pairs,

@@ -1,6 +1,9 @@
 // End-to-end tests of the MapReduce join plans: correctness against the
-// centralized ground truth and the Section 5.4 shuffle-cost ordering.
+// centralized ground truth and the Section 5.4 shuffle-cost ordering,
+// plus the record codecs the plans share (tuple records, pair blocks).
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
@@ -147,6 +150,36 @@ TEST_F(MrJoinTest, PretrainedHashSkipsLearningPhase) {
   EXPECT_EQ(pairs, truth);
 }
 
+TEST_F(MrJoinTest, OptionAEmitsOnePairBlockPerProbeBatch) {
+  // Reducers emit one pair block per 64-probe batch, not one record per
+  // pair: the build job emits at most one index per partition, and each
+  // join reducer at most ceil(its probes / 64) blocks.
+  MrhaOptions opts;
+  opts.num_partitions = 4;
+  opts.h = 3;
+  opts.option = MrhaOption::kA;
+  auto result = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const int64_t bound = static_cast<int64_t>(
+      (s_data_.rows() + 63) / 64 + 2 * opts.num_partitions);
+  ASSERT_GT(static_cast<int64_t>(result->pairs.size()), bound);
+  EXPECT_LE(cluster_->cumulative_counters()->Get(mr::kReduceOutputRecords),
+            bound);
+}
+
+TEST_F(MrJoinTest, PmhEmitsOnePairBlockPerProbeBatch) {
+  PmhOptions opts;
+  opts.num_partitions = 4;
+  opts.h = 3;
+  auto result = RunPmhJoin(r_data_, s_data_, opts, cluster_.get());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const int64_t bound =
+      static_cast<int64_t>((s_data_.rows() + 63) / 64 + opts.num_partitions);
+  ASSERT_GT(static_cast<int64_t>(result->pairs.size()), bound);
+  EXPECT_LE(cluster_->cumulative_counters()->Get(mr::kReduceOutputRecords),
+            bound);
+}
+
 TEST_F(MrJoinTest, PmhMatchesItsOwnCentralizedTruth) {
   PmhOptions opts;
   opts.num_partitions = 4;
@@ -217,6 +250,165 @@ TEST_F(MrJoinTest, ShuffleCostOrderingMatchesFigure7) {
   int64_t pgbj_total = pgbj.shuffle_bytes + pgbj.broadcast_bytes;
   EXPECT_GT(pgbj_total, pmh_total);
   EXPECT_GT(pmh_total, mrha_total);
+}
+
+// A vector record written field by field, so tests can make it lie.
+std::vector<uint8_t> RawVectorRecord(uint64_t tag, uint64_t id,
+                                     uint64_t count, std::size_t doubles) {
+  BufferWriter w;
+  w.PutVarint64(tag);
+  w.PutVarint64(id);
+  w.PutVarint64(count);
+  for (std::size_t i = 0; i < doubles; ++i) w.PutDouble(0.5 * i);
+  return w.Release();
+}
+
+std::vector<uint8_t> RawCodeRecord(uint64_t tag, uint64_t id) {
+  BufferWriter w;
+  w.PutVarint64(tag);
+  w.PutVarint64(id);
+  BinaryCode::FromString("10100101").ValueOrDie().Serialize(&w);
+  return w.Release();
+}
+
+TEST(MrJoinCodec, TupleRecordsKeepTheirWireFormat) {
+  // Tag, varint id, then the payload: count + fixed64 doubles for a
+  // vector record, nbits + MSB-first packed bytes for a code record.
+  const std::vector<uint8_t> vec_bytes =
+      EncodeVectorTuple({Table::kS, 300, {1.5}});
+  EXPECT_EQ(vec_bytes,
+            (std::vector<uint8_t>{0x01, 0xac, 0x02, 0x01, 0x00, 0x00, 0x00,
+                                  0x00, 0x00, 0x00, 0xf8, 0x3f}));
+  const std::vector<uint8_t> code_bytes = EncodeCodeTuple(
+      {Table::kR, 300,
+       BinaryCode::FromString("1010 0101 1111 0000").ValueOrDie()});
+  EXPECT_EQ(code_bytes,
+            (std::vector<uint8_t>{0x00, 0xac, 0x02, 0x10, 0xa5, 0xf0}));
+
+  // MatrixToRecords writes the same bytes as EncodeVectorTuple.
+  FloatMatrix m(2, 3);
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t d = 0; d < 3; ++d) m.MutableRow(i)[d] =
+          static_cast<double>(i) - 0.25 * static_cast<double>(d);
+  }
+  const auto records = MatrixToRecords(m, Table::kS);
+  ASSERT_EQ(records.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto row = m.Row(i);
+    EXPECT_TRUE(records[i].key.empty());
+    EXPECT_EQ(records[i].value,
+              EncodeVectorTuple({Table::kS, static_cast<TupleId>(i),
+                                 std::vector<double>(row.begin(), row.end())}));
+  }
+}
+
+TEST(MrJoinCodec, TupleRecordsRoundTrip) {
+  VectorTuple v{Table::kS, UINT32_MAX, {1.0, -2.5, 1e300}};
+  auto vt = DecodeVectorTuple(EncodeVectorTuple(v));
+  ASSERT_TRUE(vt.ok()) << vt.status();
+  EXPECT_EQ(vt->table, Table::kS);
+  EXPECT_EQ(vt->id, UINT32_MAX);
+  EXPECT_EQ(vt->vec, v.vec);
+
+  auto empty = DecodeVectorTuple(EncodeVectorTuple({Table::kR, 0, {}}));
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->vec.empty());
+
+  CodeTuple c{Table::kR, UINT32_MAX,
+              BinaryCode::FromUint64(0x123456789ull, 40).ValueOrDie()};
+  auto ct = DecodeCodeTuple(EncodeCodeTuple(c));
+  ASSERT_TRUE(ct.ok()) << ct.status();
+  EXPECT_EQ(ct->table, Table::kR);
+  EXPECT_EQ(ct->id, UINT32_MAX);
+  EXPECT_EQ(ct->code, c.code);
+}
+
+TEST(MrJoinCodec, VectorCountBeyondPayloadIsIOError) {
+  // A count of 2^40 used to reach vector::resize and abort the process
+  // with std::bad_alloc; it must be refused before allocating.
+  EXPECT_TRUE(DecodeVectorTuple(RawVectorRecord(0, 1, uint64_t{1} << 40, 2))
+                  .status()
+                  .IsIOError());
+  EXPECT_TRUE(DecodeVectorTuple(RawVectorRecord(0, 1, UINT64_MAX, 0))
+                  .status()
+                  .IsIOError());
+  EXPECT_TRUE(
+      DecodeVectorTuple(RawVectorRecord(0, 1, 3, 2)).status().IsIOError());
+  EXPECT_TRUE(DecodeVectorTuple(RawVectorRecord(0, 1, 2, 2)).ok());
+}
+
+TEST(MrJoinCodec, UnknownTableTagIsIOError) {
+  EXPECT_TRUE(
+      DecodeVectorTuple(RawVectorRecord(9, 1, 1, 1)).status().IsIOError());
+  EXPECT_TRUE(DecodeCodeTuple(RawCodeRecord(9, 1)).status().IsIOError());
+  EXPECT_TRUE(DecodeVectorTuple(RawVectorRecord(1, 1, 1, 1)).ok());
+  EXPECT_TRUE(DecodeCodeTuple(RawCodeRecord(1, 1)).ok());
+}
+
+TEST(MrJoinCodec, IdAboveUint32MaxIsIOError) {
+  const uint64_t too_big = uint64_t{UINT32_MAX} + 1;
+  EXPECT_TRUE(DecodeVectorTuple(RawVectorRecord(0, too_big, 1, 1))
+                  .status()
+                  .IsIOError());
+  EXPECT_TRUE(DecodeCodeTuple(RawCodeRecord(0, too_big)).status().IsIOError());
+}
+
+TEST(MrJoinCodec, TrailingBytesAreIOError) {
+  std::vector<uint8_t> vec = EncodeVectorTuple({Table::kR, 7, {1.0, 2.0}});
+  vec.push_back(0);
+  EXPECT_TRUE(DecodeVectorTuple(vec).status().IsIOError());
+  std::vector<uint8_t> code = RawCodeRecord(0, 7);
+  code.push_back(0);
+  EXPECT_TRUE(DecodeCodeTuple(code).status().IsIOError());
+}
+
+TEST(MrJoinCodec, PairBlockRoundTrips) {
+  std::vector<JoinPair> out;
+  EXPECT_TRUE(EncodePairBlock({}).empty());
+  ASSERT_TRUE(DecodePairBlock({}, &out).ok());
+  EXPECT_TRUE(out.empty());
+
+  // One pair: fixed32 r then fixed32 s, little-endian.
+  const std::vector<JoinPair> one{{1, 0x01020304}};
+  const std::vector<uint8_t> one_bytes = EncodePairBlock(one);
+  EXPECT_EQ(one_bytes, (std::vector<uint8_t>{0x01, 0x00, 0x00, 0x00, 0x04,
+                                             0x03, 0x02, 0x01}));
+  ASSERT_TRUE(DecodePairBlock(one_bytes, &out).ok());
+  EXPECT_EQ(out, one);
+
+  // Decoding appends, keeping the block's order.
+  Rng rng(5);
+  std::vector<JoinPair> many;
+  for (int i = 0; i < 1000; ++i) {
+    many.push_back({static_cast<TupleId>(rng.NextWord()),
+                    static_cast<TupleId>(rng.NextWord())});
+  }
+  many.push_back({UINT32_MAX, UINT32_MAX});
+  const std::vector<uint8_t> many_bytes = EncodePairBlock(many);
+  EXPECT_EQ(many_bytes.size(), 8 * many.size());
+  ASSERT_TRUE(DecodePairBlock(many_bytes, &out).ok());
+  std::vector<JoinPair> want = one;
+  want.insert(want.end(), many.begin(), many.end());
+  EXPECT_EQ(out, want);
+}
+
+TEST(MrJoinCodec, CollectJoinPairsKeepsOrderAndRejectsTornBlocks) {
+  const std::vector<JoinPair> a{{3, 1}, {0, 2}};
+  const std::vector<JoinPair> b{{UINT32_MAX, 0}};
+  std::vector<std::vector<mr::Record>> outputs(3);
+  outputs[0].push_back({{}, EncodePairBlock(a)});
+  outputs[2].push_back({{}, EncodePairBlock(b)});
+  outputs[2].push_back({{}, EncodePairBlock(a)});
+  auto pairs = CollectJoinPairs(outputs);
+  ASSERT_TRUE(pairs.ok()) << pairs.status();
+  EXPECT_EQ(*pairs, (std::vector<JoinPair>{{3, 1}, {0, 2}, {UINT32_MAX, 0},
+                                           {3, 1}, {0, 2}}));
+
+  std::vector<uint8_t> torn = EncodePairBlock(b);
+  torn.pop_back();
+  ASSERT_EQ(torn.size(), 7u);
+  outputs[1].push_back({{}, torn});
+  EXPECT_TRUE(CollectJoinPairs(outputs).status().IsIOError());
 }
 
 }  // namespace

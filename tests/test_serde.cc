@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 
 namespace hamming {
@@ -41,6 +43,70 @@ TEST(Serde, VarintSizes) {
   w.Clear();
   w.PutVarint64(128);
   EXPECT_EQ(w.size(), 2u);
+}
+
+TEST(Serde, VarintLengthMatchesWriter) {
+  const uint64_t values[] = {0,           1,          127,
+                             128,         16383,      16384,
+                             0xffffffffull, 1ull << 40, ~0ull};
+  for (uint64_t v : values) {
+    BufferWriter w;
+    w.PutVarint64(v);
+    EXPECT_EQ(VarintLength(v), w.size()) << v;
+  }
+}
+
+// The per-byte push_back loop the fixed-width writers used before they
+// wrote through one resize; their bytes must not change.
+void AppendByteLoop(uint64_t v, int width, std::vector<uint8_t>* out) {
+  for (int i = 0; i < width; ++i) out->push_back((v >> (8 * i)) & 0xff);
+}
+
+TEST(Serde, FixedWidthGoldenBytes) {
+  const uint64_t ints[] = {0, 1, 0xff, 0xdeadbeefull, 0x0102030405060708ull,
+                           ~0ull};
+  const double doubles[] = {0.0, -0.0, 1.5, -3.25e108,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (const bool reserve : {false, true}) {
+    SCOPED_TRACE(reserve ? "reserved" : "unreserved");
+    BufferWriter w;
+    // The reserved writer under-reserves on purpose: it must still grow.
+    if (reserve) w.Reserve(16);
+    std::vector<uint8_t> want;
+    for (uint64_t v : ints) {
+      w.PutFixed32(static_cast<uint32_t>(v));
+      AppendByteLoop(static_cast<uint32_t>(v), 4, &want);
+      w.PutFixed64(v);
+      AppendByteLoop(v, 8, &want);
+    }
+    if (reserve) w.Reserve(8 * std::size(doubles));
+    for (double d : doubles) {
+      w.PutDouble(d);
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      AppendByteLoop(bits, 8, &want);
+    }
+    EXPECT_EQ(w.buffer(), want);
+  }
+
+  // Little-endian on every host.
+  BufferWriter w;
+  w.PutFixed32(0xdeadbeef);
+  w.PutDouble(1.5);
+  EXPECT_EQ(w.buffer(),
+            (std::vector<uint8_t>{0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00,
+                                  0x00, 0x00, 0x00, 0xf8, 0x3f}));
+}
+
+TEST(Serde, ReserveDoesNotWrite) {
+  BufferWriter w;
+  w.PutFixed32(7);
+  w.Reserve(100);
+  EXPECT_EQ(w.size(), 4u);
+  EXPECT_GE(w.buffer().capacity(), 104u);
+  w.PutVarint64(300);
+  EXPECT_EQ(w.buffer(), (std::vector<uint8_t>{7, 0, 0, 0, 0xac, 0x02}));
 }
 
 TEST(Serde, SignedZigzag) {
