@@ -4,20 +4,23 @@
 // implementations.
 //
 // The custom main() additionally times the batched kernels against the
-// scalar BinaryCode loop and a map-heavy MapReduce job with and without
-// a live metrics registry, and writes the results to BENCH_micro.json.
+// scalar BinaryCode loop, the vertical scan alone and in shared batches,
+// and a map-heavy MapReduce job with and without a live metrics registry,
+// and writes the results, with the host they ran on, to BENCH_micro.json.
 // Pass --json_only to skip the google-benchmark suite, --json_out=PATH to
 // redirect the file.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 
 #include "code/gray.h"
 #include "code/masked_code.h"
 #include "common/rng.h"
+#include "common/sync.h"
 #include "observability/stopwatch.h"
 #include "index/dynamic_ha_index.h"
 #include "index/hengine.h"
@@ -326,6 +329,78 @@ VerticalRow MeasureVertical(std::size_t bits, std::size_t r, std::size_t n) {
   return row;
 }
 
+struct VerticalMultiRow {
+  std::size_t bits = 0;
+  std::size_t n = 0;
+  std::size_t r = 0;
+  std::size_t batch = 0;
+  double us_per_query = 0;
+  double planes_scanned_frac = 0;
+};
+
+// The vertical scan over shared batches: kMultiQueries plane-routed
+// queries (stored codes with two bits flipped) at radius r, sent in
+// batches of `batch` through the multi-query entry, over 2^20 clustered
+// codes. Every batch size answers the same queries, so the rows differ
+// only in how many queries share each pass over the planes.
+constexpr std::size_t kMultiQueries = 64;
+
+std::vector<VerticalMultiRow> MeasureVerticalMulti(std::size_t bits,
+                                                   std::size_t r) {
+  const std::size_t n = std::size_t{1} << 20;
+  const auto codes = MakeCodes(n, bits, 16384);
+  auto store = kernels::CodeStore::FromCodes(codes).ValueOrDie();
+  kernels::VerticalCodeStore vstore;
+  vstore.AssignTransposed(store);
+  Rng rng(7);
+  std::vector<BinaryCode> queries;
+  for (std::size_t q = 0; q < kMultiQueries; ++q) {
+    BinaryCode code = codes[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(n) - 1))];
+    for (int f = 0; f < 2; ++f) {
+      code.FlipBit(static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(bits) - 1)));
+    }
+    queries.push_back(code);
+  }
+  std::vector<std::vector<uint32_t>> slots(kMultiQueries);
+  std::vector<kernels::VerticalScanStats> stats(kMultiQueries);
+  std::vector<kernels::VerticalQuery> scans;
+  for (std::size_t q = 0; q < kMultiQueries; ++q) {
+    scans.push_back({&queries[q], r, &slots[q], &stats[q]});
+  }
+  std::vector<VerticalMultiRow> rows;
+  for (std::size_t batch : {1, 4, 16, 64}) {
+    VerticalMultiRow row;
+    row.bits = bits;
+    row.n = n;
+    row.r = r;
+    row.batch = batch;
+    const double ns_per_query = TimeNsPerItem(
+        [&] {
+          for (auto& s : slots) s.clear();
+          for (std::size_t q = 0; q < kMultiQueries; q += batch) {
+            kernels::MultiWithinDistance(vstore, scans.data() + q, batch);
+          }
+          benchmark::DoNotOptimize(slots.data());
+        },
+        kMultiQueries);
+    row.us_per_query = ns_per_query / 1e3;
+    uint64_t planes = 0;
+    uint64_t blocks = 0;
+    for (const auto& st : stats) {
+      planes += st.planes_scanned;
+      blocks += st.blocks_scanned;
+    }
+    row.planes_scanned_frac =
+        static_cast<double>(planes) /
+        (static_cast<double>(blocks) * static_cast<double>(bits));
+    for (auto& st : stats) st = kernels::VerticalScanStats{};
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 struct MapJobRow {
   std::size_t records = 0;
   std::size_t shuffle_records = 0;
@@ -382,14 +457,32 @@ MapJobRow MeasureMapJob() {
   return row;
 }
 
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 int EmitJson(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"backend\": \"%s\",\n",
-               kernels::BackendName(kernels::ActiveBackend()));
+  // The host every number below was measured on.
+  std::fprintf(f,
+               "{\n  \"host\": {\"cores\": %zu, \"cpu_model\": \"%s\", "
+               "\"kernel_tier\": \"%s\", \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n",
+               HardwareConcurrency(), CpuModel().c_str(),
+               kernels::BackendName(kernels::ActiveBackend()), __VERSION__,
+               HAMMING_BUILD_TYPE);
   // Which kernel tiers this binary compiled in and this CPU can run —
   // the context every number below must be read against.
   std::fprintf(f,
@@ -458,6 +551,33 @@ int EmitJson(const std::string& path) {
                    row.bits, row.r, row.horizontal_ns_per_code,
                    row.vertical_ns_per_code, row.speedup,
                    row.planes_scanned_frac * 100, row.blocks_pruned_frac * 100);
+    }
+  }
+  std::fprintf(f, "  ],\n");
+  // The vertical scan over shared batches: one pass over the planes per
+  // batch, so us/query falls as more queries share it.
+  std::fprintf(f, "  \"vertical_multi\": [\n");
+  {
+    const std::size_t kBitsMulti[] = {64, 128};
+    for (std::size_t w = 0; w < 2; ++w) {
+      const auto rows = MeasureVerticalMulti(kBitsMulti[w], 3);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const VerticalMultiRow& row = rows[i];
+        std::fprintf(f,
+                     "    {\"bits\": %zu, \"codes\": %zu, \"r\": %zu, "
+                     "\"batch\": %zu, \"us_per_query\": %.2f, "
+                     "\"speedup_over_batch1\": %.2f, "
+                     "\"planes_scanned_frac\": %.4f}%s\n",
+                     row.bits, row.n, row.r, row.batch, row.us_per_query,
+                     rows[0].us_per_query / row.us_per_query,
+                     row.planes_scanned_frac,
+                     w + 1 < 2 || i + 1 < rows.size() ? "," : "");
+        std::fprintf(stderr,
+                     "vertical multi %3zu-bit r=%zu batch %2zu: %.1f "
+                     "us/query (%.2fx batch 1)\n",
+                     row.bits, row.r, row.batch, row.us_per_query,
+                     rows[0].us_per_query / row.us_per_query);
+      }
     }
   }
   std::fprintf(f, "  ],\n");

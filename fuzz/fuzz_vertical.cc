@@ -7,10 +7,14 @@
 //  1. transposes the store and checks the differential round trip
 //     (IsTransposeOf + per-slot Get),
 //  2. runs the same threshold query through the horizontal and the
-//     vertical kernels and traps on any slot-set divergence,
+//     vertical kernels and traps on any slot-set divergence or on a slot
+//     count that differs from a scalar loop's,
 //  3. exercises the incremental maintenance path (Append / SwapRemove)
 //     and re-checks equivalence afterwards,
-//  4. runs the CodeSet upkeep the indexes run: fills a set to just
+//  4. runs a batch of nq in [1, 9] fuzz-chosen queries and radii through
+//     one block-major multi-query scan and requires every query's slots
+//     and counters to equal those of its own one-query scan,
+//  5. runs the CodeSet upkeep the indexes run: fills a set to just
 //     around the plane copy's floor, churns fuzz-chosen appends and
 //     swap-removes across it, and checks the range entries against a
 //     scalar loop before and after.
@@ -39,6 +43,7 @@ using hamming::kernels::CodeStore;
 using hamming::kernels::SetAnswer;
 using hamming::kernels::SlotDistance;
 using hamming::kernels::VerticalCodeStore;
+using hamming::kernels::VerticalQuery;
 using hamming::kernels::VerticalScanStats;
 
 // Deterministic bit source: the payload bytes first, then an LCG stream
@@ -60,6 +65,12 @@ class BitSource {
     }
     state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
     return (state_ >> 60) & 1;
+  }
+
+  std::size_t NextBits(std::size_t count) {
+    std::size_t v = 0;
+    for (std::size_t i = 0; i < count; ++i) v = (v << 1) | NextBit();
+    return v;
   }
 
   BinaryCode NextCode(std::size_t bits) {
@@ -95,9 +106,57 @@ void CheckEquivalence(const BinaryCode& query, const CodeStore& store,
   HAMMING_FUZZ_CHECK(stats.blocks_pruned <= stats.blocks_scanned);
   HAMMING_FUZZ_CHECK(stats.planes_scanned <=
                      stats.blocks_scanned * vstore.bits());
-  const std::size_t count =
-      hamming::kernels::BatchCount(query, vstore, h, nullptr);
-  HAMMING_FUZZ_CHECK(count == vertical.size());
+  std::size_t within = 0;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    within += store.Get(i).WithinDistance(query, h) ? 1 : 0;
+  }
+  HAMMING_FUZZ_CHECK(vertical.size() == within);
+}
+
+// One block-major scan of nq queries must give every query the slots and
+// counters of its own one-query scan. The batch comes from the input's
+// last ten bytes (the bit stream's on shorter inputs): nq = 1 + t[0] % 9;
+// radius i from t[1 + i], a selective one (b % (bits / 8 + 2)) below 128
+// and any up to bits + 1 ((b - 128) % (bits + 2)) from 128 on. Query 0 is
+// `query`, the others stored codes with up to three fuzz-chosen flips.
+void CheckMultiQuery(const uint8_t* data, std::size_t size,
+                     const CodeStore& store, const VerticalCodeStore& vstore,
+                     const BinaryCode& query, BitSource* source) {
+  const std::size_t bits = query.size();
+  auto tail = [&](std::size_t i) -> std::size_t {
+    return size >= 14 ? data[size - 10 + i] : source->NextBits(8);
+  };
+  const std::size_t nq = 1 + tail(0) % 9;
+  std::vector<BinaryCode> codes = {query};
+  std::vector<std::size_t> radii;
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t b = tail(1 + i);
+    radii.push_back(b < 128 ? b % (bits / 8 + 2) : (b - 128) % (bits + 2));
+    if (i == 0) continue;
+    BinaryCode code = store.empty()
+                          ? source->NextCode(bits)
+                          : store.Get(source->NextBits(16) % store.size());
+    for (std::size_t f = source->NextBits(2); f > 0; --f) {
+      code.FlipBit(source->NextBits(10) % bits);
+    }
+    codes.push_back(code);
+  }
+  std::vector<std::vector<uint32_t>> slots(nq);
+  std::vector<VerticalScanStats> stats(nq);
+  std::vector<VerticalQuery> scans;
+  for (std::size_t i = 0; i < nq; ++i) {
+    scans.push_back({&codes[i], radii[i], &slots[i], &stats[i]});
+  }
+  hamming::kernels::MultiWithinDistance(vstore, scans.data(), nq);
+  for (std::size_t i = 0; i < nq; ++i) {
+    std::vector<uint32_t> alone;
+    VerticalScanStats alone_stats;
+    BatchWithinDistance(codes[i], vstore, radii[i], &alone, &alone_stats);
+    HAMMING_FUZZ_CHECK(slots[i] == alone);
+    HAMMING_FUZZ_CHECK(stats[i].planes_scanned == alone_stats.planes_scanned);
+    HAMMING_FUZZ_CHECK(stats[i].blocks_pruned == alone_stats.blocks_pruned);
+    HAMMING_FUZZ_CHECK(stats[i].blocks_scanned == alone_stats.blocks_scanned);
+  }
 }
 
 // The set holds exactly `model`, its plane copy exists iff it reached
@@ -177,6 +236,7 @@ void RunVerticalFuzzInput(const uint8_t* data, std::size_t size) {
     HAMMING_FUZZ_CHECK(bulk.IsTransposeOf(store));
     CheckEquivalence(query, store, bulk, h);
   }
+  CheckMultiQuery(data, size, store, bulk, query, &source);
   if (n == 0) return;
 
   // CodeSet upkeep: fill to within 8 codes of the floor, then churn 16

@@ -62,8 +62,17 @@
 # their seed corpora plus a fixed number of deterministic mutations;
 # same inputs every run, so it is a gate, not a campaign. fuzz_vertical
 # differentially checks the bit-plane vertical kernels against the
-# horizontal layout, and the CodeSet upkeep (fill, churn across the
-# plane copy's floor, range entries) against a scalar loop.
+# horizontal layout, a fuzz-chosen batch of queries in one shared plane
+# scan against one-query scans, and the CodeSet upkeep (fill, churn
+# across the plane copy's floor, range entries) against a scalar loop.
+#
+# The perfbench smoke stage builds the repository benchmark (perfbench/,
+# into .bench_build/) and runs every workload at toy size, traced and
+# untraced (python3 perfbench/run.py --smoke). It fails unless every run
+# is correct against the benchmark's own brute-force oracle with zero
+# failed operations; scan_serve's 16,384-code smoke store is past the
+# plane copy's floor, so its h = 3 queries exercise the shared plane
+# scan end to end.
 #
 # The ubsan stage builds with -fsanitize=undefined alone (build-ubsan/,
 # HAMMING_UBSAN=ON, trap-on-first-report) and runs the FULL ctest
@@ -235,6 +244,9 @@ for needed in ("queue", "batch_form", "epoch_pin", "kernel", "respond"):
 print(f"telemetry trace OK ({len(reqs)} request spans, "
       f"{len(workers)} worker lanes, phases: {sorted(phases)})")
 PY
+
+echo "==> perfbench: every workload at toy size, traced and untraced"
+python3 perfbench/run.py --smoke
 
 if [[ "$SKIP_ASAN" == "1" ]]; then
   echo "==> skipping ASan pass (--skip-asan)"

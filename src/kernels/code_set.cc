@@ -62,15 +62,13 @@ bool CodeSet::ScanPlanes(std::size_t h) const {
          ChooseLayout(bits(), h, size()) == KernelLayout::kVertical;
 }
 
-void CodeSet::PlaneScan(const BinaryCode& query, std::size_t h,
-                        std::vector<SlotDistance>* hits,
-                        VerticalScanStats* stats) const {
-  std::vector<uint32_t> slots;
-  BatchWithinDistance(query, *planes_, h, &slots, stats);
+void CodeSet::AppendDistances(const BinaryCode& query,
+                              const std::vector<uint32_t>& slots,
+                              std::vector<SlotDistance>* hits) const {
   // The plane scan proves d <= h without keeping d: recount each hit
   // from the word lanes (a few words per hit, on selective radii only).
   const uint64_t* q = query.words().data();
-  hits->reserve(slots.size());
+  hits->reserve(hits->size() + slots.size());
   for (uint32_t slot : slots) {
     uint32_t d = 0;
     for (std::size_t w = 0; w < words_.words(); ++w) {
@@ -87,7 +85,9 @@ Status CodeSet::WithinDistance(const BinaryCode& query, std::size_t h,
   HAMMING_RETURN_NOT_OK(CheckWidth(query));
   if (empty()) return Status::OK();  // the common empty insert buffer
   if (ScanPlanes(h)) {
-    PlaneScan(query, h, hits, planes);
+    std::vector<uint32_t> slots;
+    BatchWithinDistance(query, *planes_, h, &slots, planes);
+    AppendDistances(query, slots, hits);
     return Status::OK();
   }
   const BinaryCode* q = &query;
@@ -100,19 +100,35 @@ Status CodeSet::WithinDistance(const BinaryCode& query, std::size_t h,
 void CodeSet::MultiWithinDistance(const BinaryCode* const* queries,
                                   const std::size_t* radii, std::size_t nq,
                                   std::vector<SetAnswer>* out) const {
+  std::vector<std::size_t> planed;
   std::vector<std::size_t> shared;
   std::vector<const BinaryCode*> shared_queries;
   std::vector<std::size_t> shared_radii;
   for (std::size_t q : Admit(queries, nq, out)) {
     if (ScanPlanes(radii[q])) {
-      PlaneScan(*queries[q], radii[q], &(*out)[q].hits, &(*out)[q].planes);
+      planed.push_back(q);
     } else {
       shared.push_back(q);
       shared_queries.push_back(queries[q]);
       shared_radii.push_back(radii[q]);
     }
   }
+  if (!planed.empty()) {
+    // One block-major pass over the planes for every plane-routed query.
+    std::vector<std::vector<uint32_t>> slots(planed.size());
+    std::vector<VerticalQuery> scans;
+    scans.reserve(planed.size());
+    for (std::size_t g = 0; g < planed.size(); ++g) {
+      const std::size_t q = planed[g];
+      scans.push_back({queries[q], radii[q], &slots[g], &(*out)[q].planes});
+    }
+    kernels::MultiWithinDistance(*planes_, scans.data(), scans.size());
+    for (std::size_t g = 0; g < planed.size(); ++g) {
+      AppendDistances(*queries[planed[g]], slots[g], &(*out)[planed[g]].hits);
+    }
+  }
   if (shared.empty()) return;
+  // The rest share one tile-major pass over the word lanes.
   std::vector<std::vector<SlotDistance>> hits;
   kernels::MultiWithinDistance(words_, shared_queries.data(),
                                shared_radii.data(), shared.size(), &hits);

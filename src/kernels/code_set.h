@@ -11,8 +11,11 @@
 //
 // The query entries are where the layout is chosen: a range query takes
 // the plane scan when ChooseLayout(bits, h, n) picks the vertical layout,
-// and the word lanes otherwise. Every entry refuses a query whose width
-// is not the set's.
+// and the word lanes otherwise. A batch pays one pass per layout: its
+// plane-routed queries share one block-major plane scan (each block's
+// planes are read once, by groups of up to four queries), and its other
+// queries share one tile-major pass over the word lanes. Every entry
+// refuses a query whose width is not the set's.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +88,10 @@ class CodeSet {
                         VerticalScanStats* planes = nullptr) const;
 
   /// \brief Multi-query range entry: (*out)[q] answers *queries[q] at
-  /// radius radii[q], identical to WithinDistance. Queries the plane scan
-  /// does not take share one tile-major pass over the word lanes.
+  /// radius radii[q], identical to WithinDistance, plane counters
+  /// included. Each layout serves its share of the batch in one pass: the
+  /// plane-routed queries share one block-major plane scan, and the rest
+  /// share one tile-major pass over the word lanes.
   void MultiWithinDistance(const BinaryCode* const* queries,
                            const std::size_t* radii, std::size_t nq,
                            std::vector<SetAnswer>* out) const;
@@ -111,10 +116,11 @@ class CodeSet {
                                  std::vector<SetAnswer>* out) const;
   /// True when ChooseLayout sends radius h to the plane copy.
   bool ScanPlanes(std::size_t h) const;
-  /// Plane scan of one query; distances come from the word lanes.
-  void PlaneScan(const BinaryCode& query, std::size_t h,
-                 std::vector<SlotDistance>* hits,
-                 VerticalScanStats* stats) const;
+  /// Appends (slot, distance) for plane-scan survivors, recounting each
+  /// distance from the word lanes.
+  void AppendDistances(const BinaryCode& query,
+                       const std::vector<uint32_t>& slots,
+                       std::vector<SlotDistance>* hits) const;
 
   CodeStore words_;
   std::optional<VerticalCodeStore> planes_;

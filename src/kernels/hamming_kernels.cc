@@ -1,9 +1,10 @@
 #include "kernels/hamming_kernels.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
+
+#include "kernels/vertical_scan_inl.h"
 
 namespace hamming::kernels {
 
@@ -18,10 +19,8 @@ void BatchXorPopcountAvx2(uint64_t query_word, const uint64_t* values,
 void RangeHitsAvx2(const CodeStore& store, const uint64_t* qwords, uint32_t h,
                    std::size_t base, std::size_t len,
                    std::vector<SlotDistance>* hits);
-std::size_t VerticalScanAvx2(const VerticalCodeStore& store,
-                             const uint64_t* qmask, std::size_t h,
-                             std::vector<uint32_t>* out_slots,
-                             VerticalScanStats* stats);
+void VerticalMultiScanAvx2(const VerticalCodeStore& store,
+                           const PlaneGroup* groups, std::size_t ngroups);
 }  // namespace detail
 #endif
 
@@ -35,19 +34,15 @@ void BatchDistanceRangeAvx512(const CodeStore& store, const uint64_t* qwords,
 void RangeHitsAvx512(const CodeStore& store, const uint64_t* qwords,
                      uint32_t h, std::size_t base, std::size_t len,
                      std::vector<SlotDistance>* hits);
-std::size_t VerticalScanAvx512(const VerticalCodeStore& store,
-                               const uint64_t* qmask, std::size_t h,
-                               std::vector<uint32_t>* out_slots,
-                               VerticalScanStats* stats);
+void VerticalMultiScanAvx512(const VerticalCodeStore& store,
+                             const PlaneGroup* groups, std::size_t ngroups);
 }  // namespace detail
 #endif
 
 // Portable vertical scan (hamming_kernels_vertical.cc); always built.
 namespace detail {
-std::size_t VerticalScanPortable(const VerticalCodeStore& store,
-                                 const uint64_t* qmask, std::size_t h,
-                                 std::vector<uint32_t>* out_slots,
-                                 VerticalScanStats* stats);
+void VerticalMultiScanPortable(const VerticalCodeStore& store,
+                               const PlaneGroup* groups, std::size_t ngroups);
 }  // namespace detail
 
 namespace {
@@ -181,44 +176,22 @@ void RangeHits(const CodeStore& store, const uint64_t* qwords, uint32_t h,
   RangeHitsPortable(store, qwords, h, base, len, hits);
 }
 
-// Shared body of the vertical BatchWithinDistance / BatchCount: handles
-// the degenerate radii, spreads the query into per-plane broadcast
-// masks, and dispatches on the active backend.
-std::size_t VerticalScanDispatch(const BinaryCode& query,
-                                 const VerticalCodeStore& store, std::size_t h,
-                                 std::vector<uint32_t>* out_slots,
-                                 VerticalScanStats* stats) {
-  if (store.empty()) return 0;
-  const std::size_t bits = store.bits();
-  if (h >= bits) {
-    // Every code is within distance h; zero planes touched.
-    if (out_slots != nullptr) {
-      for (std::size_t i = 0; i < store.size(); ++i) {
-        out_slots->push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (stats != nullptr) stats->blocks_scanned += store.num_blocks();
-    return store.size();
-  }
-  // qmask[p] is all-ones when query bit p is set: the scan's mismatch
-  // word for plane p is plane_row ^ qmask[p].
-  std::array<uint64_t, BinaryCode::kMaxBits> qmask;
-  for (std::size_t p = 0; p < bits; ++p) {
-    qmask[p] = query.GetBit(p) ? ~0ull : 0ull;
-  }
+// Runs the vertical scan's groups on the active backend.
+void VerticalMultiScan(const VerticalCodeStore& store,
+                       const detail::PlaneGroup* groups, std::size_t ngroups) {
 #if defined(HAMMING_HAVE_AVX512_TU)
   if (g_backend.load(std::memory_order_relaxed) == Backend::kAvx512) {
-    return detail::VerticalScanAvx512(store, qmask.data(), h, out_slots,
-                                      stats);
+    detail::VerticalMultiScanAvx512(store, groups, ngroups);
+    return;
   }
 #endif
 #if defined(HAMMING_HAVE_AVX2_TU)
   if (g_backend.load(std::memory_order_relaxed) == Backend::kAvx2) {
-    return detail::VerticalScanAvx2(store, qmask.data(), h, out_slots, stats);
+    detail::VerticalMultiScanAvx2(store, groups, ngroups);
+    return;
   }
 #endif
-  return detail::VerticalScanPortable(store, qmask.data(), h, out_slots,
-                                      stats);
+  detail::VerticalMultiScanPortable(store, groups, ngroups);
 }
 
 // Tile size for the scratch-buffered scans: 1024 distances = 4 KB on the
@@ -316,12 +289,63 @@ void BatchWithinDistance(const BinaryCode& query,
                          const VerticalCodeStore& store, std::size_t h,
                          std::vector<uint32_t>* out_slots,
                          VerticalScanStats* stats) {
-  VerticalScanDispatch(query, store, h, out_slots, stats);
+  const VerticalQuery one{&query, h, out_slots, stats};
+  MultiWithinDistance(store, &one, 1);
 }
 
-std::size_t BatchCount(const BinaryCode& query, const VerticalCodeStore& store,
-                       std::size_t h, VerticalScanStats* stats) {
-  return VerticalScanDispatch(query, store, h, nullptr, stats);
+void MultiWithinDistance(const VerticalCodeStore& store,
+                         const VerticalQuery* queries, std::size_t nq) {
+  if (store.empty()) return;
+  const std::size_t bits = store.bits();
+  std::vector<const VerticalQuery*> scanned;
+  for (std::size_t q = 0; q < nq; ++q) {
+    const VerticalQuery& query = queries[q];
+    if (query.h < bits) {
+      scanned.push_back(&query);
+      continue;
+    }
+    // Every code is within distance h; zero planes touched.
+    for (std::size_t i = 0; i < store.size(); ++i) {
+      query.slots->push_back(static_cast<uint32_t>(i));
+    }
+    if (query.stats != nullptr) {
+      query.stats->blocks_scanned += store.num_blocks();
+    }
+  }
+  if (scanned.empty()) return;
+  // qmask[p] is all-ones when query bit p is set: the scan's mismatch row
+  // for plane p is plane_row ^ qmask[p].
+  std::vector<uint64_t> qmasks(scanned.size() * bits);
+  std::vector<detail::PlaneQuery> scans(scanned.size());
+  for (std::size_t s = 0; s < scanned.size(); ++s) {
+    uint64_t* qmask = qmasks.data() + s * bits;
+    for (std::size_t p = 0; p < bits; ++p) {
+      qmask[p] = scanned[s]->code->GetBit(p) ? ~0ull : 0ull;
+    }
+    scans[s] = {qmask, detail::CounterBias(scanned[s]->h), scanned[s]->slots};
+  }
+  // Groups of up to kMaxGroup queries with one counter-plane count, in
+  // query order within each count.
+  std::vector<detail::PlaneGroup> groups;
+  for (std::size_t np = 1; np <= detail::kMaxCounterPlanes; ++np) {
+    detail::PlaneGroup* open = nullptr;
+    for (std::size_t s = 0; s < scanned.size(); ++s) {
+      if (detail::CounterPlanes(scanned[s]->h) != np) continue;
+      if (open == nullptr || open->size == detail::kMaxGroup) {
+        open = &groups.emplace_back();
+        open->counter_planes = np;
+      }
+      open->queries[open->size++] = &scans[s];
+    }
+  }
+  VerticalMultiScan(store, groups.data(), groups.size());
+  for (std::size_t s = 0; s < scanned.size(); ++s) {
+    VerticalScanStats* stats = scanned[s]->stats;
+    if (stats == nullptr) continue;
+    stats->planes_scanned += scans[s].planes_read;
+    stats->blocks_pruned += scans[s].blocks_pruned;
+    stats->blocks_scanned += store.num_blocks();
+  }
 }
 
 void BatchXorPopcount(uint64_t query_word, const uint64_t* values,

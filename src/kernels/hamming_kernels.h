@@ -19,14 +19,18 @@
 // under every supported backend to prove they agree.
 //
 // Orthogonally to the backend, threshold queries run over one of two data
-// layouts:
+// layouts, and both serve a batch of queries in one pass over the store:
 //  * horizontal — the CodeStore word lanes above: full distance per code.
+//    A batch runs tile-major: each tile of lanes is loaded once and every
+//    query re-scans it from cache.
 //  * vertical — a VerticalCodeStore bit-plane copy: per-lane distance
 //    counters accumulate plane-by-plane in bit-sliced form across 512
 //    codes at once, and a whole block is abandoned the moment every
 //    lane's running count already exceeds h. On selective (small-h)
 //    queries most blocks die within the first few planes, so the scan
-//    reads a fraction of the planes the horizontal kernel must touch.
+//    reads a fraction of the planes the horizontal kernel must touch. A
+//    batch runs block-major: inside each block the queries go in groups
+//    of up to four that share each plane-row load.
 // kernels::CodeSet (code_set.h) owns both layouts of a stored set and
 // picks between them per query with ChooseLayout.
 #pragma once
@@ -104,16 +108,36 @@ void BatchWithinDistance(const BinaryCode& query, const CodeStore& store,
 
 /// \brief Vertical-layout threshold scan: appends matching slots in
 /// ascending order, identical results to the horizontal overload above.
-/// `stats`, when non-null, receives plane/block pruning counts.
+/// `stats`, when non-null, receives plane/block pruning counts. This is
+/// the multi-query vertical scan below with a group of one.
 void BatchWithinDistance(const BinaryCode& query,
                          const VerticalCodeStore& store, std::size_t h,
                          std::vector<uint32_t>* out_slots,
                          VerticalScanStats* stats = nullptr);
 
-/// \brief Counts the slots within distance h without materializing them
-/// (vertical layout; popcounts the survivor masks per block).
-std::size_t BatchCount(const BinaryCode& query, const VerticalCodeStore& store,
-                       std::size_t h, VerticalScanStats* stats = nullptr);
+/// \brief One query of a multi-query vertical scan and where its answer
+/// goes.
+struct VerticalQuery {
+  const BinaryCode* code = nullptr;
+  std::size_t h = 0;
+  /// Matching slots are appended here in ascending order.
+  std::vector<uint32_t>* slots = nullptr;
+  /// The query's plane/block counters are added here when non-null.
+  VerticalScanStats* stats = nullptr;
+};
+
+/// \brief Multi-query vertical scan: every query's slots and counters
+/// are exactly those of its own BatchWithinDistance call over `store`.
+///
+/// The scan is block-major: the block loop is outside, and inside each
+/// 512-code block the queries run in groups of up to four that share a
+/// counter-plane count, so a group loads each plane-row pair once for all
+/// of its queries and a batch reads each block from memory once. A
+/// query's planes_scanned counts only the rows read while it was alive in
+/// a block, and blocks_pruned only the blocks it died in. All queries must
+/// have the store's code length.
+void MultiWithinDistance(const VerticalCodeStore& store,
+                         const VerticalQuery* queries, std::size_t nq);
 
 /// \brief out[i] = popcount(values[i] ^ query_word): the one-word batch
 /// used for per-segment node distances (StaticHAIndex phase 1). Counts

@@ -145,105 +145,60 @@ void RangeHitsAvx2(const CodeStore& store, const uint64_t* qwords,
   }
 }
 
-// Vertical (bit-sliced) threshold scan, AVX2 form: each plane row of a
-// 512-code block is two 256-bit vectors, the bit-sliced counters and
-// alive mask live in registers, and the same carry-save pair step as the
-// portable kernel (hamming_kernels_vertical.cc) runs on vector words.
-std::size_t VerticalScanAvx2(const VerticalCodeStore& store,
-                             const uint64_t* qmask, std::size_t h,
-                             std::vector<uint32_t>* out_slots,
-                             VerticalScanStats* stats) {
-  constexpr std::size_t kW = VerticalCodeStore::kWordsPerPlane;
-  const std::size_t bits = store.bits();
-  const std::size_t n = store.size();
-  const std::size_t nplanes = CounterPlanes(h);
-  const uint64_t bias = CounterBias(h);
-  std::size_t matches = 0;
-  uint64_t planes_read = 0;
-  uint64_t blocks_pruned = 0;
-  __m256i cnt[kMaxCounterPlanes][2];
-  __m256i alive[2];
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    const std::size_t block_base = b * VerticalCodeStore::kBlockCodes;
-    const std::size_t lanes =
-        std::min(VerticalCodeStore::kBlockCodes, n - block_base);
-    alignas(32) uint64_t valid[kW];
-    for (std::size_t g = 0; g < kW; ++g) valid[g] = ValidMaskWord(lanes, g);
-    alive[0] = _mm256_load_si256(reinterpret_cast<const __m256i*>(valid));
-    alive[1] = _mm256_load_si256(reinterpret_cast<const __m256i*>(valid + 4));
-    for (std::size_t i = 0; i < nplanes; ++i) {
-      // Saturation bias: carry out of the top plane == count > h.
-      const __m256i fill =
-          ((bias >> i) & 1) ? _mm256_set1_epi64x(-1) : _mm256_setzero_si256();
-      cnt[i][0] = fill;
-      cnt[i][1] = fill;
-    }
-    const uint64_t* planes = store.BlockPlanes(b);
-    bool dead = false;
-    std::size_t p = 0;
-    for (; p + 1 < bits; p += 2) {
-      const uint64_t* ra = planes + p * kW;
-      const uint64_t* rb = ra + kW;
-      const __m256i qa = _mm256_set1_epi64x(static_cast<long long>(qmask[p]));
-      const __m256i qb =
-          _mm256_set1_epi64x(static_cast<long long>(qmask[p + 1]));
-      for (std::size_t half = 0; half < 2; ++half) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(ra + 4 * half));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(rb + 4 * half));
-        const __m256i xa = _mm256_xor_si256(va, qa);
-        const __m256i xb = _mm256_xor_si256(vb, qb);
-        const __m256i s = _mm256_xor_si256(xa, xb);
-        __m256i carry = _mm256_or_si256(_mm256_and_si256(xa, xb),
-                                        _mm256_and_si256(cnt[0][half], s));
-        cnt[0][half] = _mm256_xor_si256(cnt[0][half], s);
-        for (std::size_t i = 1; i < nplanes; ++i) {
-          const __m256i t = _mm256_and_si256(cnt[i][half], carry);
-          cnt[i][half] = _mm256_xor_si256(cnt[i][half], carry);
-          carry = t;
-        }
-        alive[half] = _mm256_andnot_si256(carry, alive[half]);
-      }
-      planes_read += 2;
-      const __m256i any = _mm256_or_si256(alive[0], alive[1]);
-      if (_mm256_testz_si256(any, any)) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead && p < bits) {  // odd trailing plane
-      const uint64_t* ra = planes + p * kW;
-      const __m256i qa = _mm256_set1_epi64x(static_cast<long long>(qmask[p]));
-      for (std::size_t half = 0; half < 2; ++half) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(ra + 4 * half));
-        __m256i carry = _mm256_xor_si256(va, qa);
-        for (std::size_t i = 0; i < nplanes; ++i) {
-          const __m256i t = _mm256_and_si256(cnt[i][half], carry);
-          cnt[i][half] = _mm256_xor_si256(cnt[i][half], carry);
-          carry = t;
-        }
-        alive[half] = _mm256_andnot_si256(carry, alive[half]);
-      }
-      planes_read += 1;
-    }
-    if (dead) {
-      ++blocks_pruned;
-      continue;
-    }
-    // Bias makes `alive` the exact <= h survivor set.
-    alignas(32) uint64_t survivors[kW];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(survivors), alive[0]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(survivors + 4), alive[1]);
-    matches += EmitSurvivors(block_base, survivors, out_slots);
+namespace {
+
+// Two 256-bit vectors per plane row.
+struct Avx2Ops {
+  struct V {
+    __m256i lo, hi;
+  };
+  static V Load(const uint64_t* row) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(row)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4))};
   }
-  if (stats != nullptr) {
-    stats->planes_scanned += planes_read;
-    stats->blocks_pruned += blocks_pruned;
-    stats->blocks_scanned += store.num_blocks();
+  static V Splat(uint64_t word) {
+    const __m256i v = _mm256_set1_epi64x(static_cast<long long>(word));
+    return {v, v};
   }
-  return matches;
+  static V Fill(bool ones) { return Splat(ones ? ~0ull : 0); }
+  static V Xor(V a, V b) {
+    return {_mm256_xor_si256(a.lo, b.lo), _mm256_xor_si256(a.hi, b.hi)};
+  }
+  static V And(V a, V b) {
+    return {_mm256_and_si256(a.lo, b.lo), _mm256_and_si256(a.hi, b.hi)};
+  }
+  // ~a & b.
+  static V AndNot(V a, V b) {
+    return {_mm256_andnot_si256(a.lo, b.lo), _mm256_andnot_si256(a.hi, b.hi)};
+  }
+  // a & ~(b & c).
+  static V AndNotBoth(V a, V b, V c) { return AndNot(And(b, c), a); }
+  static V Xor3(V a, V b, V c) { return Xor(Xor(a, b), c); }
+  // Majority, the full adder's carry.
+  static V Maj(V a, V b, V c) {
+    const V s = Xor(a, b);
+    const V ab = And(a, b);
+    const V cs = And(c, s);
+    return {_mm256_or_si256(ab.lo, cs.lo), _mm256_or_si256(ab.hi, cs.hi)};
+  }
+  static bool Any(V a) {
+    const __m256i any = _mm256_or_si256(a.lo, a.hi);
+    return !_mm256_testz_si256(any, any);
+  }
+  static void Store(uint64_t* out, V a) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(out), a.lo);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(out + 4), a.hi);
+  }
+};
+
+}  // namespace
+
+// Vertical (bit-sliced) threshold scan, AVX2 form: the block-major
+// multi-query scan of vertical_scan_inl.h with each plane row held in two
+// 256-bit vectors.
+void VerticalMultiScanAvx2(const VerticalCodeStore& store,
+                           const PlaneGroup* groups, std::size_t ngroups) {
+  MultiScan<Avx2Ops>(store, groups, ngroups);
 }
 
 }  // namespace hamming::kernels::detail

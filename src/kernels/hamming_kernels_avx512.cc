@@ -163,88 +163,48 @@ void RangeHitsAvx512(const CodeStore& store, const uint64_t* qwords,
   }
 }
 
-// Vertical (bit-sliced) threshold scan, AVX-512 form: one 512-bit vector
-// covers a whole plane row, so the counters and alive mask are single
-// registers and the carry-save pair step (see the portable kernel in
-// hamming_kernels_vertical.cc) runs once per plane pair.
-std::size_t VerticalScanAvx512(const VerticalCodeStore& store,
-                               const uint64_t* qmask, std::size_t h,
-                               std::vector<uint32_t>* out_slots,
-                               VerticalScanStats* stats) {
-  constexpr std::size_t kW = VerticalCodeStore::kWordsPerPlane;
-  const std::size_t bits = store.bits();
-  const std::size_t n = store.size();
-  const std::size_t nplanes = CounterPlanes(h);
-  const uint64_t bias = CounterBias(h);
-  std::size_t matches = 0;
-  uint64_t planes_read = 0;
-  uint64_t blocks_pruned = 0;
-  __m512i cnt[kMaxCounterPlanes];
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    const std::size_t block_base = b * VerticalCodeStore::kBlockCodes;
-    const std::size_t lanes =
-        std::min(VerticalCodeStore::kBlockCodes, n - block_base);
-    alignas(64) uint64_t valid[kW];
-    for (std::size_t g = 0; g < kW; ++g) valid[g] = ValidMaskWord(lanes, g);
-    __m512i alive = _mm512_load_si512(valid);
-    for (std::size_t i = 0; i < nplanes; ++i) {
-      // Saturation bias: carry out of the top plane == count > h.
-      cnt[i] =
-          ((bias >> i) & 1) ? _mm512_set1_epi64(-1) : _mm512_setzero_si512();
-    }
-    const uint64_t* planes = store.BlockPlanes(b);
-    bool dead = false;
-    std::size_t p = 0;
-    for (; p + 1 < bits; p += 2) {
-      const __m512i va = _mm512_xor_si512(
-          _mm512_loadu_si512(planes + p * kW),
-          _mm512_set1_epi64(static_cast<long long>(qmask[p])));
-      const __m512i vb = _mm512_xor_si512(
-          _mm512_loadu_si512(planes + (p + 1) * kW),
-          _mm512_set1_epi64(static_cast<long long>(qmask[p + 1])));
-      const __m512i s = _mm512_xor_si512(va, vb);
-      __m512i carry = _mm512_or_si512(_mm512_and_si512(va, vb),
-                                      _mm512_and_si512(cnt[0], s));
-      cnt[0] = _mm512_xor_si512(cnt[0], s);
-      for (std::size_t i = 1; i < nplanes; ++i) {
-        const __m512i t = _mm512_and_si512(cnt[i], carry);
-        cnt[i] = _mm512_xor_si512(cnt[i], carry);
-        carry = t;
-      }
-      alive = AndNot512(carry, alive);
-      planes_read += 2;
-      if (_mm512_test_epi64_mask(alive, alive) == 0) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead && p < bits) {  // odd trailing plane
-      __m512i carry = _mm512_xor_si512(
-          _mm512_loadu_si512(planes + p * kW),
-          _mm512_set1_epi64(static_cast<long long>(qmask[p])));
-      for (std::size_t i = 0; i < nplanes; ++i) {
-        const __m512i t = _mm512_and_si512(cnt[i], carry);
-        cnt[i] = _mm512_xor_si512(cnt[i], carry);
-        carry = t;
-      }
-      alive = AndNot512(carry, alive);
-      planes_read += 1;
-    }
-    if (dead) {
-      ++blocks_pruned;
-      continue;
-    }
-    // Bias makes `alive` the exact <= h survivor set.
-    alignas(64) uint64_t survivors[kW];
-    _mm512_store_si512(survivors, alive);
-    matches += EmitSurvivors(block_base, survivors, out_slots);
+namespace {
+
+// One 512-bit vector per plane row; vpternlog fuses the full adder's sum
+// and carry into one instruction each.
+struct Avx512Ops {
+  using V = __m512i;
+  static V Load(const uint64_t* row) { return _mm512_loadu_si512(row); }
+  static V Splat(uint64_t word) {
+    return _mm512_set1_epi64(static_cast<long long>(word));
   }
-  if (stats != nullptr) {
-    stats->planes_scanned += planes_read;
-    stats->blocks_pruned += blocks_pruned;
-    stats->blocks_scanned += store.num_blocks();
+  static V Fill(bool ones) {
+    return ones ? _mm512_set1_epi64(-1) : _mm512_setzero_si512();
   }
-  return matches;
+  static V Xor(V a, V b) { return _mm512_xor_si512(a, b); }
+  static V And(V a, V b) { return _mm512_and_si512(a, b); }
+  static V AndNot(V a, V b) { return AndNot512(a, b); }
+  // a & ~(b & c).
+  static V AndNotBoth(V a, V b, V c) {
+    return _mm512_ternarylogic_epi64(a, b, c, 0x70);
+  }
+  static V Xor3(V a, V b, V c) {
+    return _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  }
+  // Majority, the full adder's carry.
+  static V Maj(V a, V b, V c) {
+    return _mm512_ternarylogic_epi64(a, b, c, 0xe8);
+  }
+  static bool Any(V a) {
+    const __mmask16 m = _mm512_test_epi64_mask(a, a);
+    return _mm512_kortestz(m, m) == 0;
+  }
+  static void Store(uint64_t* out, V a) { _mm512_store_si512(out, a); }
+};
+
+}  // namespace
+
+// Vertical (bit-sliced) threshold scan, AVX-512 form: the block-major
+// multi-query scan of vertical_scan_inl.h with one vector per plane row,
+// so each query's counters and alive mask are single registers.
+void VerticalMultiScanAvx512(const VerticalCodeStore& store,
+                             const PlaneGroup* groups, std::size_t ngroups) {
+  MultiScan<Avx512Ops>(store, groups, ngroups);
 }
 
 }  // namespace hamming::kernels::detail

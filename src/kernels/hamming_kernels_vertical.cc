@@ -1,110 +1,54 @@
-// Portable vertical (bit-sliced) threshold scan.
-//
-// Per 512-code block, per-lane Hamming distances accumulate in P =
-// CounterPlanes(h) bit-sliced counter words: counter bit i of lane l
-// lives in bit l of cnt[i]. Planes are consumed two at a time through a
-// carry-save step — the two mismatch words collapse into (sum, carry)
-// with one full adder, so each pair costs one ripple through the P
-// counter planes instead of two. Counters are preloaded with
-// CounterBias(h) = 2^P - 1 - h, so the carry out of the top plane fires
-// on the (h+1)-th mismatch exactly: a lane that overflows is > h and
-// drops out of `alive` permanently, and a lane alive after the last
-// plane is <= h with no comparison epilogue. The moment `alive`
-// empties, the rest of the block's planes are skipped — that early exit
-// is the whole point of the layout: selective queries kill most blocks
-// within the first few planes.
-#include <algorithm>
+// Portable vertical (bit-sliced) threshold scan: vertical_scan_inl.h's
+// block-major multi-query scan over plane rows of eight 64-bit words.
 #include <cstdint>
-#include <vector>
+#include <cstring>
+
+#if defined(__GNUC__) && !defined(__clang__)
+// The scan passes 64-byte vectors by value only between functions of this
+// translation unit (all with internal linkage), so GCC's note that such
+// values change the AVX-512 calling convention does not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
 
 #include "kernels/hamming_kernels.h"
 #include "kernels/vertical_scan_inl.h"
 
 namespace hamming::kernels::detail {
 
-std::size_t VerticalScanPortable(const VerticalCodeStore& store,
-                                 const uint64_t* qmask, std::size_t h,
-                                 std::vector<uint32_t>* out_slots,
-                                 VerticalScanStats* stats) {
-  constexpr std::size_t kW = VerticalCodeStore::kWordsPerPlane;
-  const std::size_t bits = store.bits();
-  const std::size_t n = store.size();
-  const std::size_t nplanes = CounterPlanes(h);
-  const uint64_t bias = CounterBias(h);
-  std::size_t matches = 0;
-  uint64_t planes_read = 0;
-  uint64_t blocks_pruned = 0;
-  uint64_t cnt[kMaxCounterPlanes][kW];
-  uint64_t alive[kW];
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    const std::size_t block_base = b * VerticalCodeStore::kBlockCodes;
-    const std::size_t lanes =
-        std::min(VerticalCodeStore::kBlockCodes, n - block_base);
-    for (std::size_t g = 0; g < kW; ++g) {
-      alive[g] = ValidMaskWord(lanes, g);
-      for (std::size_t i = 0; i < nplanes; ++i) {
-        cnt[i][g] = ((bias >> i) & 1) ? ~0ull : 0;
-      }
-    }
-    const uint64_t* planes = store.BlockPlanes(b);
-    bool dead = false;
-    std::size_t p = 0;
-    for (; p + 1 < bits; p += 2) {
-      const uint64_t* ra = planes + p * kW;
-      const uint64_t* rb = ra + kW;
-      const uint64_t qa = qmask[p];
-      const uint64_t qb = qmask[p + 1];
-      uint64_t any = 0;
-      for (std::size_t g = 0; g < kW; ++g) {
-        const uint64_t xa = ra[g] ^ qa;
-        const uint64_t xb = rb[g] ^ qb;
-        // Full adder over the two mismatch bits: sum goes into counter
-        // plane 0, and the (a&b) carry merges with plane 0's own carry —
-        // the two are mutually exclusive, so OR is exact.
-        const uint64_t s = xa ^ xb;
-        uint64_t carry = (xa & xb) | (cnt[0][g] & s);
-        cnt[0][g] ^= s;
-        for (std::size_t i = 1; i < nplanes; ++i) {
-          const uint64_t t = cnt[i][g] & carry;
-          cnt[i][g] ^= carry;
-          carry = t;
-        }
-        alive[g] &= ~carry;  // biased overflow => count > h, lane dead
-        any |= alive[g];
-      }
-      planes_read += 2;
-      if (any == 0) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead && p < bits) {  // odd trailing plane
-      const uint64_t* ra = planes + p * kW;
-      const uint64_t qa = qmask[p];
-      for (std::size_t g = 0; g < kW; ++g) {
-        uint64_t carry = ra[g] ^ qa;
-        for (std::size_t i = 0; i < nplanes; ++i) {
-          const uint64_t t = cnt[i][g] & carry;
-          cnt[i][g] ^= carry;
-          carry = t;
-        }
-        alive[g] &= ~carry;
-      }
-      planes_read += 1;
-    }
-    if (dead) {
-      ++blocks_pruned;
-      continue;
-    }
-    // Bias makes `alive` the exact <= h survivor set.
-    matches += EmitSurvivors(block_base, alive, out_slots);
+namespace {
+
+// A plane row as a GCC vector of eight words: the compiler lowers each
+// operation to whatever the baseline target has (SSE2 on x86-64).
+struct PortableOps {
+  using V = uint64_t __attribute__((vector_size(64)));
+  static V Load(const uint64_t* row) {
+    V v;
+    std::memcpy(&v, row, sizeof(v));
+    return v;
   }
-  if (stats != nullptr) {
-    stats->planes_scanned += planes_read;
-    stats->blocks_pruned += blocks_pruned;
-    stats->blocks_scanned += store.num_blocks();
+  static V Splat(uint64_t word) { return V{} + word; }
+  static V Fill(bool ones) { return Splat(ones ? ~0ull : 0); }
+  static V Xor(V a, V b) { return a ^ b; }
+  static V And(V a, V b) { return a & b; }
+  static V AndNot(V a, V b) { return ~a & b; }
+  static V AndNotBoth(V a, V b, V c) { return a & ~(b & c); }
+  static V Xor3(V a, V b, V c) { return a ^ b ^ c; }
+  static V Maj(V a, V b, V c) { return (a & b) | (c & (a ^ b)); }
+  static bool Any(V a) {
+    uint64_t any = 0;
+    for (std::size_t g = 0; g < VerticalCodeStore::kWordsPerPlane; ++g) {
+      any |= a[g];
+    }
+    return any != 0;
   }
-  return matches;
+  static void Store(uint64_t* out, V a) { std::memcpy(out, &a, sizeof(a)); }
+};
+
+}  // namespace
+
+void VerticalMultiScanPortable(const VerticalCodeStore& store,
+                               const PlaneGroup* groups, std::size_t ngroups) {
+  MultiScan<PortableOps>(store, groups, ngroups);
 }
 
 }  // namespace hamming::kernels::detail

@@ -14,7 +14,7 @@
 // a threshold scan streams plane rows against a broadcast query bit and
 // accumulates per-lane distances in bit-sliced counters, abandoning a
 // whole block as soon as every lane's running count exceeds the radius
-// (hamming_kernels.h, the vertical BatchWithinDistance/BatchCount).
+// (hamming_kernels.h, the vertical BatchWithinDistance/MultiWithinDistance).
 // Pad lanes of the tail block are kept zero, mirroring CodeStore's pad
 // invariant, and are masked out of every scan by the kernels.
 #pragma once

@@ -1,14 +1,41 @@
-// Shared scalar pieces of the vertical (bit-sliced) threshold scan.
+// The block-major multi-query vertical (bit-sliced) threshold scan,
+// written once over a tier's plane-row vector type.
 //
-// The three backend TUs (portable / AVX2 / AVX-512) differ only in how
-// they run the plane loop — 64-bit words, two 256-bit vectors, or one
-// 512-bit vector per plane row. The surrounding logic is identical and
-// lives here: tail-lane masking, the counter-plane count, and survivor
-// extraction. Internal to src/kernels; not part of the public API.
+// Per 512-code block, per-lane Hamming distances accumulate in P =
+// CounterPlanes(h) bit-sliced counter rows: counter bit i of lane l lives
+// in lane l of cnt[i]. Planes are consumed two at a time through a
+// carry-save step — the two mismatch rows collapse into (sum, carry) with
+// one full adder, so each pair costs one ripple through the P counter
+// rows instead of two. Counters are preloaded with CounterBias(h) =
+// 2^P - 1 - h, so the carry out of the top row fires on the (h+1)-th
+// mismatch exactly: a lane that overflows is > h and drops out of `alive`
+// for good, and a lane alive after the last plane is <= h with no
+// comparison epilogue. The moment a query's `alive` empties, the rest of
+// the block's planes are skipped for it — that early exit is the point of
+// the layout: selective queries kill most blocks within a few planes.
+//
+// Many queries share one pass. The block loop is outside; inside each
+// block the batch's queries run in groups of up to kMaxGroup that share a
+// counter-plane count, so a group loads each plane-row pair once and
+// advances its queries' counters side by side — independent dependency
+// chains the core overlaps — and a batch reads each block's planes from
+// memory once instead of once per query. A group leaves the block once all
+// of its queries are dead. Each query keeps its own counters, alive mask,
+// survivors and statistics: planes_scanned counts the rows read while
+// that query was alive, blocks_pruned the blocks it died in, exactly as a
+// scan of its own would.
+//
+// The three backend TUs (portable / AVX2 / AVX-512) instantiate MultiScan
+// with their own `Ops`: the plane-row vector type (eight 64-bit words,
+// two 256-bit vectors, one 512-bit vector) and its bitwise operations.
+// Internal to src/kernels; not part of the public API.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kernels/vertical_code_store.h"
@@ -18,6 +45,31 @@ namespace hamming::kernels::detail {
 /// Upper bound on bit-sliced counter planes: h < bits <= 512, so counts
 /// are capped at 511 and 9 planes always suffice.
 inline constexpr std::size_t kMaxCounterPlanes = 9;
+
+/// Most queries that share one plane-row load inside a block.
+inline constexpr std::size_t kMaxGroup = 4;
+
+/// One query of a multi-query scan: its inputs, where its survivors go,
+/// and its plane and prune tallies.
+struct PlaneQuery {
+  const uint64_t* qmask = nullptr;  // qmask[p] = ~0 where query bit p is set
+  uint64_t bias = 0;                // CounterBias(h), h below the width
+  std::vector<uint32_t>* slots = nullptr;  // survivors, ascending
+  uint64_t planes_read = 0;
+  uint64_t blocks_pruned = 0;
+};
+
+/// Up to kMaxGroup queries with one counter-plane count.
+struct PlaneGroup {
+  std::array<PlaneQuery*, kMaxGroup> queries{};
+  std::size_t size = 0;
+  std::size_t counter_planes = 0;
+};
+
+// Internal linkage on purpose: every tier TU compiles its own copy under
+// its own target flags, so the linker never hands a baseline caller a
+// copy built for a wider instruction set.
+namespace {
 
 /// Counter planes needed to represent counts in [0, h] plus an overflow
 /// signal: the smallest P with 2^P >= h+1 (overflow beyond 2^P-1 is
@@ -45,16 +97,11 @@ inline uint64_t ValidMaskWord(std::size_t lanes, std::size_t g) {
   return (1ull << (lanes - lo)) - 1;
 }
 
-/// Appends the set lanes of `survivors` (ascending) as absolute slots
-/// and returns how many there were. `out_slots` may be null (BatchCount).
-inline std::size_t EmitSurvivors(std::size_t block_base,
-                                 const uint64_t* survivors,
-                                 std::vector<uint32_t>* out_slots) {
-  std::size_t count = 0;
+/// Appends the set lanes of `survivors` (ascending) as absolute slots.
+inline void EmitSurvivors(std::size_t block_base, const uint64_t* survivors,
+                          std::vector<uint32_t>* out_slots) {
   for (std::size_t g = 0; g < VerticalCodeStore::kWordsPerPlane; ++g) {
     uint64_t m = survivors[g];
-    count += static_cast<std::size_t>(std::popcount(m));
-    if (out_slots == nullptr) continue;
     const std::size_t lane_base = block_base + g * 64;
     while (m != 0) {
       const int l = std::countr_zero(m);
@@ -63,7 +110,125 @@ inline std::size_t EmitSurvivors(std::size_t block_base,
           static_cast<uint32_t>(lane_base + static_cast<std::size_t>(l)));
     }
   }
-  return count;
 }
+
+/// Adds `carry` into counter planes [From, NP) and clears from *alive
+/// the lanes whose count overflows the top plane (count > h).
+template <class Ops, std::size_t NP, std::size_t From, class V>
+inline void RippleCarry(V* cnt, V carry, V* alive) {
+  if constexpr (From == NP) {
+    *alive = Ops::AndNot(carry, *alive);
+  } else {
+#pragma GCC unroll 9
+    for (std::size_t i = From; i + 1 < NP; ++i) {
+      const V t = Ops::And(cnt[i], carry);
+      cnt[i] = Ops::Xor(cnt[i], carry);
+      carry = t;
+    }
+    // The top plane's carry out only ever clears lanes.
+    *alive = Ops::AndNotBoth(*alive, cnt[NP - 1], carry);
+    cnt[NP - 1] = Ops::Xor(cnt[NP - 1], carry);
+  }
+}
+
+/// One block of one group of G queries with NP counter planes each.
+template <class Ops, std::size_t G, std::size_t NP>
+void ScanGroupBlock(const uint64_t* planes, std::size_t bits,
+                    const uint64_t* valid, std::size_t block_base,
+                    PlaneQuery* const* group) {
+  using V = typename Ops::V;
+  constexpr std::size_t kW = VerticalCodeStore::kWordsPerPlane;
+  const uint64_t* qmask[G];
+  V cnt[G][NP];
+  V alive[G];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) {
+    qmask[g] = group[g]->qmask;
+    alive[g] = Ops::Load(valid);
+    // Saturation bias: carry out of the top plane == count > h.
+#pragma GCC unroll 9
+    for (std::size_t i = 0; i < NP; ++i) {
+      cnt[g][i] = Ops::Fill(((group[g]->bias >> i) & 1) != 0);
+    }
+  }
+  unsigned live = (1u << G) - 1;  // bit g: query g still has a lane alive
+  std::size_t p = 0;
+  for (; p + 1 < bits; p += 2) {
+    const V ra = Ops::Load(planes + p * kW);
+    const V rb = Ops::Load(planes + (p + 1) * kW);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      if (((live >> g) & 1) == 0) continue;
+      const V xa = Ops::Xor(ra, Ops::Splat(qmask[g][p]));
+      const V xb = Ops::Xor(rb, Ops::Splat(qmask[g][p + 1]));
+      // Full adder over the two mismatch bits and counter plane 0; its
+      // carry ripples up the remaining planes.
+      V carry = Ops::Maj(xa, xb, cnt[g][0]);
+      cnt[g][0] = Ops::Xor3(xa, xb, cnt[g][0]);
+      RippleCarry<Ops, NP, 1>(cnt[g], carry, &alive[g]);
+      if (!Ops::Any(alive[g])) {
+        live &= ~(1u << g);
+        group[g]->planes_read += p + 2;
+        ++group[g]->blocks_pruned;
+      }
+    }
+    if (live == 0) return;
+  }
+  if (p < bits) {  // odd trailing plane
+    const V ra = Ops::Load(planes + p * kW);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      if (((live >> g) & 1) == 0) continue;
+      RippleCarry<Ops, NP, 0>(cnt[g], Ops::Xor(ra, Ops::Splat(qmask[g][p])),
+                              &alive[g]);
+    }
+  }
+  // Bias makes `alive` the exact <= h survivor set.
+  alignas(64) uint64_t survivors[kW];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) {
+    if (((live >> g) & 1) == 0) continue;
+    group[g]->planes_read += bits;
+    Ops::Store(survivors, alive[g]);
+    EmitSurvivors(block_base, survivors, group[g]->slots);
+  }
+}
+
+using GroupBlockFn = void (*)(const uint64_t*, std::size_t, const uint64_t*,
+                              std::size_t, PlaneQuery* const*);
+
+/// ScanGroupBlock for every (counter planes, group size): entry
+/// (NP - 1) * kMaxGroup + (G - 1).
+template <class Ops, std::size_t... I>
+constexpr std::array<GroupBlockFn, sizeof...(I)> GroupBlockTable(
+    std::index_sequence<I...>) {
+  return {&ScanGroupBlock<Ops, I % kMaxGroup + 1, I / kMaxGroup + 1>...};
+}
+
+/// The scan: every block, each group in turn. Groups are non-empty and
+/// hold queries whose radii are below the store's width.
+template <class Ops>
+void MultiScan(const VerticalCodeStore& store, const PlaneGroup* groups,
+               std::size_t ngroups) {
+  static constexpr auto kKernels = GroupBlockTable<Ops>(
+      std::make_index_sequence<kMaxCounterPlanes * kMaxGroup>());
+  constexpr std::size_t kW = VerticalCodeStore::kWordsPerPlane;
+  const std::size_t n = store.size();
+  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
+    const std::size_t block_base = b * VerticalCodeStore::kBlockCodes;
+    const std::size_t lanes =
+        std::min(VerticalCodeStore::kBlockCodes, n - block_base);
+    alignas(64) uint64_t valid[kW];
+    for (std::size_t g = 0; g < kW; ++g) valid[g] = ValidMaskWord(lanes, g);
+    const uint64_t* planes = store.BlockPlanes(b);
+    for (std::size_t k = 0; k < ngroups; ++k) {
+      const PlaneGroup& group = groups[k];
+      kKernels[(group.counter_planes - 1) * kMaxGroup + group.size - 1](
+          planes, store.bits(), valid, block_base, group.queries.data());
+    }
+  }
+}
+
+}  // namespace
 
 }  // namespace hamming::kernels::detail

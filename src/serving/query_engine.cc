@@ -60,6 +60,14 @@ QueryEngine::QueryEngine(std::vector<const HammingIndex*> indexes,
 QueryEngine::~QueryEngine() { Shutdown(); }
 
 Status QueryEngine::Start() {
+  // A worker could never take a request from a zero-size batch, and an
+  // EWMA weight outside (0, 1] never tracks the queue wait.
+  if (opts_.max_batch == 0) {
+    return Status::InvalidArgument("max_batch must be at least 1");
+  }
+  if (!(opts_.ewma_alpha > 0.0 && opts_.ewma_alpha <= 1.0)) {
+    return Status::InvalidArgument("ewma_alpha must be in (0, 1]");
+  }
   {
     MutexLock lock(&mu_);
     if (stopping_) {

@@ -82,7 +82,8 @@ struct QueryEngineOptions {
   /// Maximum queued (admitted, not yet executing) requests; Submit
   /// beyond this rejects with kResourceExhausted.
   std::size_t queue_capacity = 1024;
-  /// Maximum requests coalesced into one batched index call.
+  /// Maximum requests coalesced into one batched index call; at least 1
+  /// (Start refuses 0).
   std::size_t max_batch = 32;
   /// How long a worker may hold a non-full batch open waiting for more
   /// same-kind requests. Zero = dispatch immediately (latency-first).
@@ -92,7 +93,7 @@ struct QueryEngineOptions {
   /// then the only admission limit).
   std::chrono::microseconds latency_budget{0};
   /// Smoothing factor of the queue-wait EWMA in (0, 1]; higher reacts
-  /// faster to load changes.
+  /// faster to load changes. Start refuses a value outside that range.
   double ewma_alpha = 0.2;
   /// Optional registry receiving the serving.* metrics and the
   /// serving.query.* per-request work histograms. May be null.
@@ -159,6 +160,9 @@ class QueryEngine {
 
   /// \brief Spawns the worker pool. Requests submitted before Start sit
   /// in the queue (subject to admission control) until workers exist.
+  /// InvalidArgument, with no worker started, when max_batch is 0 or
+  /// ewma_alpha is outside (0, 1]; queued requests then fail with
+  /// ResourceExhausted at Shutdown, as on an engine never started.
   Status Start();
 
   /// \brief Stops accepting work, drains every queued request, joins the

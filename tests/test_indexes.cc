@@ -485,6 +485,42 @@ TEST(BatchApi, SearchBatchMatchesScalarForEveryIndex) {
   }
 }
 
+TEST(BatchApi, CoalescedScanBatchMatchesBatchesOfOne) {
+  // 64 mixed requests over a scan large enough for the plane copy: the
+  // selective radii share one block-major plane pass, the rest one
+  // tile-major pass. Every response, QueryStats included, must equal
+  // the same request sent alone.
+  auto codes = RandomCodes(6000, 64, /*seed=*/27, /*clusters=*/16,
+                           /*flip_bits=*/6);
+  LinearScanIndex index;
+  ASSERT_TRUE(index.Build(codes).ok());
+  Rng rng(28);
+  const std::size_t kRadii[] = {3, 3, 3, 9, 0, 1, 2, 5, 8, 12, 64};
+  std::vector<QueryRequest> requests;
+  for (std::size_t i = 0; i < 64; ++i) {
+    BinaryCode q = codes[static_cast<std::size_t>(rng.UniformInt(0, 5999))];
+    q.FlipBit(static_cast<std::size_t>(rng.UniformInt(0, 63)));
+    requests.push_back(QueryRequest::Range(
+        q, kRadii[static_cast<std::size_t>(
+               rng.UniformInt(0, std::size(kRadii) - 1))]));
+  }
+  std::vector<QueryResponse> responses(requests.size());
+  ASSERT_TRUE(index.SearchBatch(requests, responses).ok());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    QueryResponse alone;
+    ASSERT_TRUE(index.SearchBatch({&requests[i], 1}, {&alone, 1}).ok());
+    ASSERT_TRUE(responses[i].status.ok());
+    EXPECT_EQ(responses[i].ids, alone.ids) << "request " << i;
+    EXPECT_EQ(responses[i].distances, alone.distances) << "request " << i;
+    EXPECT_TRUE(responses[i].stats == alone.stats)
+        << "request " << i << ": " << responses[i].stats.ToJson() << " vs "
+        << alone.stats.ToJson();
+    if (requests[i].h * 8 <= 64) {
+      EXPECT_GT(alone.stats.planes_scanned, 0u) << "request " << i;
+    }
+  }
+}
+
 TEST(BatchApi, KnnBatchMatchesScalarKnn) {
   auto codes = RandomCodes(300, 64, /*seed=*/271, /*clusters=*/8);
   auto queries = RandomCodes(8, 64, /*seed=*/828, /*clusters=*/8);

@@ -377,7 +377,6 @@ TEST(Kernels, VerticalWithinDistanceMatchesScalarEverywhere) {
           BatchWithinDistance(query, v, h, &slots, &stats);
           ASSERT_EQ(slots, expected) << BackendName(backend) << " bits="
                                      << bits << " n=" << n << " h=" << h;
-          EXPECT_EQ(BatchCount(query, v, h), expected.size());
           EXPECT_EQ(stats.blocks_scanned, v.num_blocks());
           EXPECT_LE(stats.blocks_pruned, stats.blocks_scanned);
           EXPECT_LE(stats.planes_scanned, stats.blocks_scanned * bits);
@@ -492,6 +491,194 @@ std::vector<SlotDistance> ScalarKnn(const std::vector<BinaryCode>& codes,
   return ::testing::AssertionSuccess();
 }
 
+// ---------------------------------------------------------------------------
+// The block-major multi-query plane scan: every query of a batch must get
+// the slots and all three VerticalScanStats fields it gets from a scan of
+// its own (a group of one), and the slots of a scalar loop.
+// ---------------------------------------------------------------------------
+
+const std::size_t kSharedPassSizes[] = {4096, 4796};  // 4796: a tail block
+
+// nq distinct queries within a few bits of stored codes, in shuffled
+// order, each with a radius the layout rule sends to the planes
+// (h * 8 <= bits). Drawn from [0, bits/8], the radii both share and mix
+// counter-plane counts across a batch of up to nine.
+struct PlaneBatch {
+  std::vector<BinaryCode> codes;
+  std::vector<std::size_t> radii;
+};
+
+PlaneBatch MakePlaneBatch(const std::vector<BinaryCode>& stored,
+                          std::size_t nq, Rng* rng) {
+  const std::size_t bits = stored.front().size();
+  // Narrow widths have fewer distinct codes than a batch holds.
+  const std::size_t distinct =
+      bits >= 4 ? nq : std::min<std::size_t>(nq, std::size_t{1} << bits);
+  PlaneBatch batch;
+  while (batch.codes.size() < nq) {
+    BinaryCode q = stored[static_cast<std::size_t>(rng->UniformInt(
+        0, static_cast<int64_t>(stored.size()) - 1))];
+    for (int64_t f = rng->UniformInt(0, 2); f > 0; --f) {
+      q.FlipBit(static_cast<std::size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(bits) - 1)));
+    }
+    if (batch.codes.size() < distinct &&
+        std::find(batch.codes.begin(), batch.codes.end(), q) !=
+            batch.codes.end()) {
+      continue;
+    }
+    batch.codes.push_back(q);
+    batch.radii.push_back(static_cast<std::size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(bits / 8))));
+  }
+  return batch;
+}
+
+::testing::AssertionResult SameStats(const VerticalScanStats& got,
+                                     const VerticalScanStats& want) {
+  if (got.planes_scanned == want.planes_scanned &&
+      got.blocks_pruned == want.blocks_pruned &&
+      got.blocks_scanned == want.blocks_scanned) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "planes/pruned/blocks " << got.planes_scanned << "/"
+         << got.blocks_pruned << "/" << got.blocks_scanned << " vs "
+         << want.planes_scanned << "/" << want.blocks_pruned << "/"
+         << want.blocks_scanned;
+}
+
+// The counters a plane scan of `query` must report, worked out lane by
+// lane: a lane dies in the pair holding its (h+1)-th mismatching plane, a
+// block dies in the pair where its last valid lane does (a death in the
+// odd trailing plane is not a prune), and a scan reads every plane up to
+// and including that pair.
+VerticalScanStats ReferencePlaneStats(const std::vector<BinaryCode>& codes,
+                                      const BinaryCode& query, std::size_t h) {
+  VerticalScanStats want;
+  const std::size_t bits = query.size();
+  const std::size_t pair_planes = bits - bits % 2;
+  for (std::size_t base = 0; base < codes.size();
+       base += VerticalCodeStore::kBlockCodes) {
+    ++want.blocks_scanned;
+    if (h >= bits) continue;  // the all-slots shortcut reads no plane
+    const std::size_t end =
+        std::min(codes.size(), base + VerticalCodeStore::kBlockCodes);
+    std::size_t block_death = 0;  // planes read by the pair it died in
+    for (std::size_t i = base; i < end && block_death <= pair_planes; ++i) {
+      std::size_t mismatches = 0;
+      std::size_t p = 0;
+      for (; p < bits && mismatches <= h; ++p) {
+        mismatches += codes[i].GetBit(p) != query.GetBit(p) ? 1 : 0;
+      }
+      const bool dies_in_pair = mismatches > h && p <= pair_planes;
+      block_death = std::max(block_death,
+                             dies_in_pair ? (p + 1) / 2 * 2 : pair_planes + 1);
+    }
+    if (block_death <= pair_planes) {
+      ++want.blocks_pruned;
+      want.planes_scanned += block_death;
+    } else {
+      want.planes_scanned += bits;
+    }
+  }
+  return want;
+}
+
+TEST(Kernels, VerticalMultiScanMatchesGroupsOfOne) {
+  for (std::size_t bits : kSetWidths) {
+    for (std::size_t n : kSharedPassSizes) {
+      auto codes = RandomCodes(n, bits, /*seed=*/bits * 31 + n,
+                               /*clusters=*/6,
+                               std::max<std::size_t>(2, bits / 16));
+      auto store = CodeStore::FromCodes(codes).ValueOrDie();
+      VerticalCodeStore v;
+      v.AssignTransposed(store);
+      for (Backend backend : BackendsUnderTest()) {
+        ScopedBackend pin(backend);
+        Rng rng(bits * 7 + n);
+        for (std::size_t nq = 1; nq <= 9; ++nq) {
+          PlaneBatch batch = MakePlaneBatch(codes, nq, &rng);
+          // One radius at or past the width takes the all-slots shortcut.
+          if (nq == 9) batch.radii[4] = bits;
+          std::vector<std::vector<uint32_t>> slots(nq);
+          std::vector<VerticalScanStats> stats(nq);
+          std::vector<VerticalQuery> scans;
+          for (std::size_t q = 0; q < nq; ++q) {
+            scans.push_back(
+                {&batch.codes[q], batch.radii[q], &slots[q], &stats[q]});
+          }
+          MultiWithinDistance(v, scans.data(), scans.size());
+          for (std::size_t q = 0; q < nq; ++q) {
+            const std::size_t h = batch.radii[q];
+            std::vector<uint32_t> alone;
+            VerticalScanStats alone_stats;
+            BatchWithinDistance(batch.codes[q], v, h, &alone, &alone_stats);
+            std::vector<uint32_t> scalar;
+            for (const SlotDistance& hit :
+                 ScalarRange(codes, batch.codes[q], h)) {
+              scalar.push_back(hit.slot);
+            }
+            ASSERT_EQ(slots[q], alone)
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " nq=" << nq << " q=" << q << " h=" << h;
+            ASSERT_EQ(slots[q], scalar)
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " nq=" << nq << " q=" << q << " h=" << h;
+            EXPECT_TRUE(SameStats(stats[q], alone_stats))
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " nq=" << nq << " q=" << q << " h=" << h;
+            EXPECT_TRUE(SameStats(
+                stats[q], ReferencePlaneStats(codes, batch.codes[q], h)))
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " nq=" << nq << " q=" << q << " h=" << h;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, VerticalSharedGroupKeepsPerQueryCounters) {
+  // A stored code and its complement share a counter-plane count, so they
+  // run in one group. The complement dies within the first planes of every
+  // block while the stored code reads further, and each must still be
+  // charged exactly the planes and pruned blocks of a scan of its own.
+  const std::size_t bits = 64;
+  auto codes = RandomCodes(4096, bits, /*seed=*/5, /*clusters=*/4);
+  auto store = CodeStore::FromCodes(codes).ValueOrDie();
+  VerticalCodeStore v;
+  v.AssignTransposed(store);
+  const BinaryCode& near = codes[0];
+  BinaryCode far = near;
+  for (std::size_t p = 0; p < bits; ++p) far.FlipBit(p);
+  const std::size_t h = 2;
+  std::vector<uint32_t> near_slots;
+  std::vector<uint32_t> far_slots;
+  VerticalScanStats stats[2];
+  const VerticalQuery scans[] = {{&near, h, &near_slots, &stats[0]},
+                                 {&far, h, &far_slots, &stats[1]}};
+  for (Backend backend : BackendsUnderTest()) {
+    ScopedBackend pin(backend);
+    near_slots.clear();
+    far_slots.clear();
+    stats[0] = stats[1] = VerticalScanStats{};
+    MultiWithinDistance(v, scans, 2);
+    std::vector<uint32_t> alone;
+    VerticalScanStats near_alone;
+    VerticalScanStats far_alone;
+    BatchWithinDistance(near, v, h, &alone, &near_alone);
+    EXPECT_EQ(near_slots, alone) << BackendName(backend);
+    alone.clear();
+    BatchWithinDistance(far, v, h, &alone, &far_alone);
+    EXPECT_EQ(far_slots, alone) << BackendName(backend);
+    EXPECT_TRUE(SameStats(stats[0], near_alone)) << BackendName(backend);
+    EXPECT_TRUE(SameStats(stats[1], far_alone)) << BackendName(backend);
+    EXPECT_GT(stats[0].planes_scanned, stats[1].planes_scanned);
+    EXPECT_EQ(near_slots.front(), 0u);
+  }
+}
+
 TEST(CodeSet, RangeEntriesMatchScalarAcrossWidthsSizesAndRadii) {
   const std::size_t sizes[] = {0, 5, kVerticalMinCodes - 1, kVerticalMinCodes,
                                kVerticalMinCodes + 700};
@@ -537,6 +724,71 @@ TEST(CodeSet, RangeEntriesMatchScalarAcrossWidthsSizesAndRadii) {
               << "bits=" << bits << " n=" << n << " h=" << h;
           EXPECT_EQ(multi[r].planes.blocks_scanned, planes.blocks_scanned);
           EXPECT_EQ(multi[r].planes.planes_scanned, planes.planes_scanned);
+        }
+      }
+    }
+  }
+}
+
+TEST(CodeSet, MixedBatchMatchesSingleQueries) {
+  // Batches of 1-9 plane-routed queries plus two word-lane queries and
+  // one of the wrong width, in shuffled order: each answer, plane counters
+  // included, must equal the query's own WithinDistance and the scalar
+  // loop.
+  for (std::size_t bits : kSetWidths) {
+    for (std::size_t n : kSharedPassSizes) {
+      auto codes = RandomCodes(n, bits, /*seed=*/bits * 131 + n,
+                               /*clusters=*/6,
+                               std::max<std::size_t>(2, bits / 16));
+      const auto set = CodeSet::FromCodes(codes).ValueOrDie();
+      const BinaryCode wrong(bits == 1 ? 2 : bits - 1);
+      for (Backend backend : BackendsUnderTest()) {
+        ScopedBackend pin(backend);
+        Rng rng(bits * 3 + n);
+        for (std::size_t nq = 1; nq <= 9; ++nq) {
+          PlaneBatch batch = MakePlaneBatch(codes, nq, &rng);
+          batch.codes.push_back(codes[1]);
+          batch.radii.push_back(bits / 8 + 1);  // word lanes
+          batch.codes.push_back(codes[2]);
+          batch.radii.push_back(bits + 2);  // word lanes, every slot
+          std::vector<std::size_t> order(batch.codes.size() + 1);
+          for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+          rng.Shuffle(&order);
+          std::vector<const BinaryCode*> queries;
+          std::vector<std::size_t> radii;
+          for (std::size_t i : order) {
+            const bool bad = i == batch.codes.size();
+            queries.push_back(bad ? &wrong : &batch.codes[i]);
+            radii.push_back(bad ? 0 : batch.radii[i]);
+          }
+          std::vector<SetAnswer> answers;
+          set.MultiWithinDistance(queries.data(), radii.data(),
+                                  queries.size(), &answers);
+          ASSERT_EQ(answers.size(), queries.size());
+          for (std::size_t q = 0; q < queries.size(); ++q) {
+            if (queries[q] == &wrong) {
+              EXPECT_TRUE(answers[q].status.IsInvalidArgument());
+              EXPECT_TRUE(answers[q].hits.empty());
+              continue;
+            }
+            const std::size_t h = radii[q];
+            std::vector<SlotDistance> single;
+            VerticalScanStats planes;
+            ASSERT_TRUE(set.WithinDistance(*queries[q], h, &single, &planes)
+                            .ok());
+            ASSERT_TRUE(answers[q].status.ok());
+            ASSERT_EQ(answers[q].hits, single)
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " nq=" << nq << " h=" << h;
+            ASSERT_EQ(single, ScalarRange(codes, *queries[q], h))
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " h=" << h;
+            EXPECT_TRUE(SameStats(answers[q].planes, planes))
+                << BackendName(backend) << " bits=" << bits << " n=" << n
+                << " nq=" << nq << " h=" << h;
+            EXPECT_EQ(planes.blocks_scanned,
+                      h * 8 <= bits ? set.planes()->num_blocks() : 0u);
+          }
         }
       }
     }
@@ -677,12 +929,16 @@ TEST(CodeSet, SharedAcrossThreads) {
   auto codes = RandomCodes(kVerticalMinCodes + 500, bits, /*seed=*/41,
                            /*clusters=*/8);
   const auto set = CodeSet::FromCodes(codes).ValueOrDie();
-  auto queries = RandomCodes(8, bits, /*seed=*/43, /*clusters=*/8);
+  // Ten plane-routed radii over four counter-plane counts, and two the
+  // tile pass takes.
+  const std::size_t kRadii[] = {3, 12, 0, 8, 5, 3, 1, 12, 7, 2, 4, 6};
+  auto queries = RandomCodes(std::size(kRadii), bits, /*seed=*/43,
+                             /*clusters=*/8);
   std::vector<const BinaryCode*> qptrs;
   std::vector<std::size_t> radii;
   for (const auto& q : queries) {
+    radii.push_back(kRadii[qptrs.size()]);
     qptrs.push_back(&q);
-    radii.push_back(qptrs.size() % 2 == 0 ? 3 : 12);  // planes / tile pass
   }
   const std::vector<std::size_t> ks(queries.size(), 5);
   std::vector<SetAnswer> want_range;
@@ -708,6 +964,8 @@ TEST(CodeSet, SharedAcrossThreads) {
   for (std::size_t t = 0; t < kTasks; ++t) {
     for (std::size_t q = 0; q < queries.size(); ++q) {
       EXPECT_EQ(got_range[t][q].hits, want_range[q].hits) << "task " << t;
+      EXPECT_TRUE(SameStats(got_range[t][q].planes, want_range[q].planes))
+          << "task " << t;
       EXPECT_EQ(got_knn[t][q].hits, want_knn[q].hits) << "task " << t;
     }
     EXPECT_TRUE(single_status[t].ok());

@@ -210,6 +210,53 @@ TEST(ServingShutdown, NeverStartedFailsPendingFutures) {
   EXPECT_TRUE(got->get().response.status.IsResourceExhausted());
 }
 
+// Regression: with max_batch = 0 no worker could ever take a request,
+// so Start returned OK, no future completed and Shutdown never returned.
+// Start must refuse such options (and an EWMA weight outside (0, 1])
+// without starting a worker. Every wait is bounded, so a regression fails
+// instead of hanging.
+TEST(ServingShutdown, StartRefusesOptionsNoWorkerCanServe) {
+  ServingFixture fx(64);
+  QueryEngineOptions zero_batch;
+  zero_batch.max_batch = 0;
+  QueryEngineOptions zero_alpha;
+  zero_alpha.ewma_alpha = 0.0;
+  QueryEngineOptions big_alpha;
+  big_alpha.ewma_alpha = 1.5;
+  for (const QueryEngineOptions& opts : {zero_batch, zero_alpha, big_alpha}) {
+    auto engine = std::make_unique<QueryEngine>(fx.Indexes(), opts);
+    auto got = engine->Submit(QueryRequest::Range(fx.codes[0], 2));
+    ASSERT_TRUE(got.ok());
+    const Status started = engine->Start();
+    EXPECT_TRUE(started.IsInvalidArgument()) << started;
+    if (started.ok()) {
+      EXPECT_EQ(got->wait_for(std::chrono::seconds(2)),
+                std::future_status::ready);
+      // Workers that may never drain the queue would hang Shutdown (and
+      // the destructor): leave this engine running instead.
+      (void)engine.release();
+      continue;
+    }
+    engine->Shutdown();
+    ASSERT_EQ(got->wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "request never completed";
+    EXPECT_TRUE(got->get().response.status.IsResourceExhausted());
+  }
+  // The boundary values are accepted.
+  QueryEngineOptions edge;
+  edge.max_batch = 1;
+  edge.ewma_alpha = 1.0;
+  QueryEngine engine(fx.Indexes(), edge);
+  ASSERT_TRUE(engine.Start().ok());
+  auto got = engine.Submit(QueryRequest::Range(fx.codes[0], 2));
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(got->get().response.status.ok());
+  engine.Shutdown();
+}
+
 // Regression: the never-started shutdown drain used to relabel every
 // orphan kResourceExhausted, including requests whose deadline had
 // already expired — those must complete with kDeadlineExceeded exactly
