@@ -10,14 +10,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/sync.h"
 #include "observability/stopwatch.h"
 #include "dataset/generators.h"
 #include "hashing/spectral_hashing.h"
 #include "index/hamming_index.h"
+#include "kernels/hamming_kernels.h"
 #include "observability/json.h"
 #include "observability/memtrack.h"
 #include "observability/metrics.h"
@@ -136,6 +139,56 @@ inline double MeasureUpdateMillis(HammingIndex* index,
   return watch.ElapsedMillis() / static_cast<double>(rounds);
 }
 
+/// \brief The host a bench ran on, as one JSON object: cores, CPU model,
+/// the kernel tier the batched routines run on, which tiers this binary
+/// compiled in and can run on this CPU, compiler and build type. Every
+/// BENCH_*.json carries it as "host", so a number is never read without
+/// the machine behind it.
+inline std::string HostJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  obs::JsonWriter w;
+  w.BeginObject();
+  w.Key("cores");
+  w.Uint(HardwareConcurrency());
+  w.Key("cpu_model");
+  w.String(cpu);
+  w.Key("kernel_tier");
+  w.String(kernels::BackendName(kernels::ActiveBackend()));
+  w.Key("kernel_tiers");
+  w.BeginObject();
+  w.Key("avx2_compiled");
+#if defined(HAMMING_HAVE_AVX2_TU)
+  w.Bool(true);
+#else
+  w.Bool(false);
+#endif
+  w.Key("avx2_supported");
+  w.Bool(kernels::Avx2Supported());
+  w.Key("avx512_compiled");
+#if defined(HAMMING_HAVE_AVX512_TU)
+  w.Bool(true);
+#else
+  w.Bool(false);
+#endif
+  w.Key("avx512_supported");
+  w.Bool(kernels::Avx512Supported());
+  w.EndObject();
+  w.Key("compiler");
+  w.String(__VERSION__);
+  w.Key("build_type");
+  w.String(HAMMING_BUILD_TYPE);
+  w.EndObject();
+  return w.Release();
+}
+
 inline const char* Separator() {
   return "------------------------------------------------------------"
          "--------------------";
@@ -183,9 +236,10 @@ class BenchReport {
   }
 
   /// \brief Writes BENCH_<name>.json (or `path`, if non-empty) into the
-  /// working directory: {"bench", "scale", "rows", "metrics"?}. Records
-  /// the process peak RSS into the registry first so memory shows up in
-  /// the snapshot. Returns false (with a warning on stderr) on I/O error.
+  /// working directory: {"bench", "scale", "host", "rows", "metrics"?}.
+  /// Records the process peak RSS into the registry first so memory
+  /// shows up in the snapshot. Returns false (with a warning on stderr)
+  /// on I/O error.
   bool Write(obs::MetricsRegistry* metrics = nullptr,
              const std::string& path = "") const {
     obs::JsonWriter w;
@@ -194,6 +248,8 @@ class BenchReport {
     w.String(name_);
     w.Key("scale");
     w.Double(scale_);
+    w.Key("host");
+    w.Raw(HostJson());
     w.Key("rows");
     w.BeginArray();
     for (const Row& row : rows_) {

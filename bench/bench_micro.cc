@@ -13,10 +13,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
 
+#include "bench_common.h"
 #include "code/gray.h"
 #include "code/masked_code.h"
 #include "common/rng.h"
@@ -330,21 +330,43 @@ VerticalRow MeasureVertical(std::size_t bits, std::size_t r, std::size_t n) {
 }
 
 struct VerticalMultiRow {
+  std::string store;  // "arrival" (raw kernel) or "prefix" (LinearScan)
   std::size_t bits = 0;
   std::size_t n = 0;
   std::size_t r = 0;
   std::size_t batch = 0;
   double us_per_query = 0;
   double planes_scanned_frac = 0;
+  double blocks_skipped_frac = 0;
 };
 
 // The vertical scan over shared batches: kMultiQueries plane-routed
 // queries (stored codes with two bits flipped) at radius r, sent in
-// batches of `batch` through the multi-query entry, over 2^20 clustered
-// codes. Every batch size answers the same queries, so the rows differ
-// only in how many queries share each pass over the planes.
+// batches of `batch` over 2^20 clustered codes. Every batch size answers
+// the same queries, so the rows differ only in how many queries share
+// each pass over the planes.
 constexpr std::size_t kMultiQueries = 64;
+constexpr std::size_t kMultiBatches[] = {1, 4, 16, 64};
 
+std::vector<BinaryCode> MultiQueries(const std::vector<BinaryCode>& codes,
+                                     std::size_t bits) {
+  Rng rng(7);
+  std::vector<BinaryCode> queries;
+  for (std::size_t q = 0; q < kMultiQueries; ++q) {
+    BinaryCode code = codes[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(codes.size()) - 1))];
+    for (int f = 0; f < 2; ++f) {
+      code.FlipBit(static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(bits) - 1)));
+    }
+    queries.push_back(code);
+  }
+  return queries;
+}
+
+// The raw multi-query kernel over a store transposed in arrival order,
+// where the clusters interleave and the common-bit summaries rarely
+// rule a group out.
 std::vector<VerticalMultiRow> MeasureVerticalMulti(std::size_t bits,
                                                    std::size_t r) {
   const std::size_t n = std::size_t{1} << 20;
@@ -352,17 +374,7 @@ std::vector<VerticalMultiRow> MeasureVerticalMulti(std::size_t bits,
   auto store = kernels::CodeStore::FromCodes(codes).ValueOrDie();
   kernels::VerticalCodeStore vstore;
   vstore.AssignTransposed(store);
-  Rng rng(7);
-  std::vector<BinaryCode> queries;
-  for (std::size_t q = 0; q < kMultiQueries; ++q) {
-    BinaryCode code = codes[static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(n) - 1))];
-    for (int f = 0; f < 2; ++f) {
-      code.FlipBit(static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(bits) - 1)));
-    }
-    queries.push_back(code);
-  }
+  const std::vector<BinaryCode> queries = MultiQueries(codes, bits);
   std::vector<std::vector<uint32_t>> slots(kMultiQueries);
   std::vector<kernels::VerticalScanStats> stats(kMultiQueries);
   std::vector<kernels::VerticalQuery> scans;
@@ -370,8 +382,9 @@ std::vector<VerticalMultiRow> MeasureVerticalMulti(std::size_t bits,
     scans.push_back({&queries[q], r, &slots[q], &stats[q]});
   }
   std::vector<VerticalMultiRow> rows;
-  for (std::size_t batch : {1, 4, 16, 64}) {
+  for (std::size_t batch : kMultiBatches) {
     VerticalMultiRow row;
+    row.store = "arrival";
     row.bits = bits;
     row.n = n;
     row.r = r;
@@ -387,15 +400,71 @@ std::vector<VerticalMultiRow> MeasureVerticalMulti(std::size_t bits,
         kMultiQueries);
     row.us_per_query = ns_per_query / 1e3;
     uint64_t planes = 0;
+    uint64_t skipped = 0;
     uint64_t blocks = 0;
     for (const auto& st : stats) {
       planes += st.planes_scanned;
+      skipped += st.blocks_skipped;
       blocks += st.blocks_scanned;
     }
     row.planes_scanned_frac =
         static_cast<double>(planes) /
         (static_cast<double>(blocks) * static_cast<double>(bits));
+    row.blocks_skipped_frac =
+        static_cast<double>(skipped) / static_cast<double>(blocks);
     for (auto& st : stats) st = kernels::VerticalScanStats{};
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+// The same batches through LinearScanIndex::SearchBatch, whose Build
+// lays the codes out in prefix order: neighbouring lanes share their
+// leading bits, so the summaries skip most blocks before a plane row is
+// read. The counters come from the last pass's responses.
+std::vector<VerticalMultiRow> MeasureScanMulti(std::size_t bits,
+                                               std::size_t r) {
+  const std::size_t n = std::size_t{1} << 20;
+  const auto codes = MakeCodes(n, bits, 16384);
+  LinearScanIndex index;
+  if (!index.Build(codes).ok()) return {};
+  const std::size_t blocks = (n + kernels::VerticalCodeStore::kBlockCodes -
+                              1) / kernels::VerticalCodeStore::kBlockCodes;
+  std::vector<QueryRequest> requests;
+  for (const BinaryCode& q : MultiQueries(codes, bits)) {
+    requests.push_back(QueryRequest::Range(q, r));
+  }
+  std::vector<QueryResponse> responses(kMultiQueries);
+  std::vector<VerticalMultiRow> rows;
+  for (std::size_t batch : kMultiBatches) {
+    VerticalMultiRow row;
+    row.store = "prefix";
+    row.bits = bits;
+    row.n = n;
+    row.r = r;
+    row.batch = batch;
+    const double ns_per_query = TimeNsPerItem(
+        [&] {
+          for (std::size_t q = 0; q < kMultiQueries; q += batch) {
+            // Spans match by construction; the answers are the sink.
+            (void)index.SearchBatch({requests.data() + q, batch},
+                                    {responses.data() + q, batch});
+          }
+          benchmark::DoNotOptimize(responses.data());
+        },
+        kMultiQueries);
+    row.us_per_query = ns_per_query / 1e3;
+    uint64_t planes = 0;
+    uint64_t skipped = 0;
+    for (const QueryResponse& resp : responses) {
+      planes += resp.stats.planes_scanned;
+      skipped += resp.stats.blocks_skipped;
+    }
+    const double scanned =
+        static_cast<double>(blocks) * static_cast<double>(kMultiQueries);
+    row.planes_scanned_frac =
+        static_cast<double>(planes) / (scanned * static_cast<double>(bits));
+    row.blocks_skipped_frac = static_cast<double>(skipped) / scanned;
     rows.push_back(row);
   }
   return rows;
@@ -457,18 +526,6 @@ MapJobRow MeasureMapJob() {
   return row;
 }
 
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
-}
-
 int EmitJson(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -476,31 +533,7 @@ int EmitJson(const std::string& path) {
     return 1;
   }
   // The host every number below was measured on.
-  std::fprintf(f,
-               "{\n  \"host\": {\"cores\": %zu, \"cpu_model\": \"%s\", "
-               "\"kernel_tier\": \"%s\", \"compiler\": \"%s\", "
-               "\"build_type\": \"%s\"},\n",
-               HardwareConcurrency(), CpuModel().c_str(),
-               kernels::BackendName(kernels::ActiveBackend()), __VERSION__,
-               HAMMING_BUILD_TYPE);
-  // Which kernel tiers this binary compiled in and this CPU can run —
-  // the context every number below must be read against.
-  std::fprintf(f,
-               "  \"kernel_tiers\": {"
-               "\"avx2_compiled\": %s, \"avx2_supported\": %s, "
-               "\"avx512_compiled\": %s, \"avx512_supported\": %s},\n",
-#if defined(HAMMING_HAVE_AVX2_TU)
-               "true",
-#else
-               "false",
-#endif
-               kernels::Avx2Supported() ? "true" : "false",
-#if defined(HAMMING_HAVE_AVX512_TU)
-               "true",
-#else
-               "false",
-#endif
-               kernels::Avx512Supported() ? "true" : "false");
+  std::fprintf(f, "{\n  \"host\": %s,\n", bench::HostJson().c_str());
   std::fprintf(f, "  \"kernels\": [\n");
   const std::size_t kBits[] = {64, 128, 225, 512};
   for (std::size_t i = 0; i < 4; ++i) {
@@ -555,28 +588,39 @@ int EmitJson(const std::string& path) {
   }
   std::fprintf(f, "  ],\n");
   // The vertical scan over shared batches: one pass over the planes per
-  // batch, so us/query falls as more queries share it.
+  // batch, so us/query falls as more queries share it. The "arrival"
+  // rows time the raw kernel over a store in arrival order; the "prefix"
+  // rows time LinearScanIndex::SearchBatch over its prefix-ordered store.
   std::fprintf(f, "  \"vertical_multi\": [\n");
   {
-    const std::size_t kBitsMulti[] = {64, 128};
-    for (std::size_t w = 0; w < 2; ++w) {
-      const auto rows = MeasureVerticalMulti(kBitsMulti[w], 3);
+    std::vector<std::vector<VerticalMultiRow>> sweeps;
+    for (std::size_t bits : {64, 128}) {
+      sweeps.push_back(MeasureVerticalMulti(bits, 3));
+    }
+    sweeps.push_back(MeasureScanMulti(64, 3));
+    for (std::size_t w = 0; w < sweeps.size(); ++w) {
+      const auto& rows = sweeps[w];
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const VerticalMultiRow& row = rows[i];
         std::fprintf(f,
-                     "    {\"bits\": %zu, \"codes\": %zu, \"r\": %zu, "
+                     "    {\"store\": \"%s\", \"bits\": %zu, "
+                     "\"codes\": %zu, \"r\": %zu, "
                      "\"batch\": %zu, \"us_per_query\": %.2f, "
                      "\"speedup_over_batch1\": %.2f, "
-                     "\"planes_scanned_frac\": %.4f}%s\n",
-                     row.bits, row.n, row.r, row.batch, row.us_per_query,
-                     rows[0].us_per_query / row.us_per_query,
-                     row.planes_scanned_frac,
-                     w + 1 < 2 || i + 1 < rows.size() ? "," : "");
+                     "\"planes_scanned_frac\": %.4f, "
+                     "\"blocks_skipped_frac\": %.4f}%s\n",
+                     row.store.c_str(), row.bits, row.n, row.r, row.batch,
+                     row.us_per_query, rows[0].us_per_query / row.us_per_query,
+                     row.planes_scanned_frac, row.blocks_skipped_frac,
+                     w + 1 < sweeps.size() || i + 1 < rows.size() ? "," : "");
         std::fprintf(stderr,
-                     "vertical multi %3zu-bit r=%zu batch %2zu: %.1f "
-                     "us/query (%.2fx batch 1)\n",
-                     row.bits, row.r, row.batch, row.us_per_query,
-                     rows[0].us_per_query / row.us_per_query);
+                     "vertical multi %s %3zu-bit r=%zu batch %2zu: %.1f "
+                     "us/query (%.2fx batch 1), planes %.1f%%, skipped "
+                     "%.1f%%\n",
+                     row.store.c_str(), row.bits, row.r, row.batch,
+                     row.us_per_query, rows[0].us_per_query / row.us_per_query,
+                     row.planes_scanned_frac * 100,
+                     row.blocks_skipped_frac * 100);
       }
     }
   }

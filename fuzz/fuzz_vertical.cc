@@ -14,10 +14,17 @@
 //  4. runs a batch of nq in [1, 9] fuzz-chosen queries and radii through
 //     one block-major multi-query scan and requires every query's slots
 //     and counters to equal those of its own one-query scan,
-//  5. runs the CodeSet upkeep the indexes run: fills a set to just
+//  5. prefix-sorts the fuzz-chosen codes and repeats 1, 2 and 4 over
+//     the sorted store, whose groups share leading bits so the common-bit
+//     summaries skip blocks, then churns it with appends and
+//     swap-removes and checks again,
+//  6. runs the CodeSet upkeep the indexes run: fills a set to just
 //     around the plane copy's floor, churns fuzz-chosen appends and
 //     swap-removes across it, and checks the range entries against a
 //     scalar loop before and after.
+// After every phase the stores' common-bit summaries must hold: exact
+// after a bulk transpose or appends alone, sound (every set agree bit
+// true of every stored lane of its group) after swap-removes.
 // Any disagreement between the layouts is a correctness bug by
 // definition — the vertical scan must be byte-identical to the
 // horizontal one for every (bits, h, n, tail) combination.
@@ -169,6 +176,7 @@ void CheckCodeSet(const std::vector<BinaryCode>& model, const CodeSet& set,
   const auto* planes = set.planes();
   HAMMING_FUZZ_CHECK((planes != nullptr) == reached_floor);
   HAMMING_FUZZ_CHECK(planes == nullptr || planes->IsTransposeOf(set.words()));
+  HAMMING_FUZZ_CHECK(planes == nullptr || planes->SummariesHold(false));
   std::vector<SlotDistance> want;
   for (std::size_t i = 0; i < model.size(); ++i) {
     const auto d = static_cast<uint32_t>(model[i].Distance(query));
@@ -206,18 +214,22 @@ void RunVerticalFuzzInput(const uint8_t* data, std::size_t size) {
   CodeStore store;
   VerticalCodeStore incremental;
   incremental.Reset(bits);
+  std::vector<BinaryCode> codes;
   for (std::size_t i = 0; i < n; ++i) {
-    const BinaryCode code = source.NextCode(bits);
-    HAMMING_FUZZ_CHECK(store.Append(code).ok());
-    HAMMING_FUZZ_CHECK(incremental.Append(code).ok());
+    codes.push_back(source.NextCode(bits));
+    HAMMING_FUZZ_CHECK(store.Append(codes.back()).ok());
+    HAMMING_FUZZ_CHECK(incremental.Append(codes.back()).ok());
   }
 
   // Differential round trip: bulk transpose == incremental appends, and
-  // both reproduce every lane of the horizontal store.
+  // both reproduce every lane of the horizontal store. Appends alone
+  // narrow each group's summary down to exactly its uniform planes.
   VerticalCodeStore bulk;
   bulk.AssignTransposed(store);
   HAMMING_FUZZ_CHECK(bulk.IsTransposeOf(store));
   HAMMING_FUZZ_CHECK(incremental.IsTransposeOf(store));
+  HAMMING_FUZZ_CHECK(bulk.SummariesHold(true));
+  HAMMING_FUZZ_CHECK(incremental.SummariesHold(true));
   for (std::size_t i = 0; i < n; i += 97) {
     HAMMING_FUZZ_CHECK(bulk.Get(i) == store.Get(i));
   }
@@ -234,10 +246,40 @@ void RunVerticalFuzzInput(const uint8_t* data, std::size_t size) {
     HAMMING_FUZZ_CHECK(store.Append(extra).ok());
     HAMMING_FUZZ_CHECK(bulk.Append(extra).ok());
     HAMMING_FUZZ_CHECK(bulk.IsTransposeOf(store));
+    HAMMING_FUZZ_CHECK(bulk.SummariesHold(false));
     CheckEquivalence(query, store, bulk, h);
   }
   CheckMultiQuery(data, size, store, bulk, query, &source);
   if (n == 0) return;
+
+  // Prefix order: sorted, the fuzz-chosen codes share leading bits with
+  // their neighbours, so groups have uniform planes and the summary check
+  // skips blocks. Then churn the sorted store and check again.
+  std::sort(codes.begin(), codes.end());
+  CodeStore sorted = CodeStore::FromCodes(codes).ValueOrDie();
+  VerticalCodeStore vsorted;
+  vsorted.AssignTransposed(sorted);
+  HAMMING_FUZZ_CHECK(vsorted.IsTransposeOf(sorted));
+  HAMMING_FUZZ_CHECK(vsorted.SummariesHold(true));
+  CheckEquivalence(query, sorted, vsorted, h);
+  CheckEquivalence(codes[n / 2], sorted, vsorted, h);
+  CheckMultiQuery(data, size, sorted, vsorted, query, &source);
+  for (std::size_t op = 0; op < 24; ++op) {
+    if (sorted.size() > 0 && source.NextBit()) {
+      const std::size_t victim = source.NextBits(16) % sorted.size();
+      sorted.SwapRemove(victim);
+      vsorted.SwapRemove(victim);
+    } else {
+      BinaryCode code = codes[source.NextBits(16) % n];
+      code.FlipBit(source.NextBits(10) % bits);
+      HAMMING_FUZZ_CHECK(sorted.Append(code).ok());
+      HAMMING_FUZZ_CHECK(vsorted.Append(code).ok());
+    }
+    HAMMING_FUZZ_CHECK(vsorted.SummariesHold(false));
+  }
+  HAMMING_FUZZ_CHECK(vsorted.IsTransposeOf(sorted));
+  CheckEquivalence(query, sorted, vsorted, h);
+  CheckMultiQuery(data, size, sorted, vsorted, codes[n / 2], &source);
 
   // CodeSet upkeep: fill to within 8 codes of the floor, then churn 16
   // fuzz-chosen steps, which can cross it in either direction.

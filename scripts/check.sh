@@ -26,10 +26,11 @@
 #
 # The serving step runs the query-engine load generator in smoke mode
 # (bench/bench_serving --smoke: closed- and open-loop over batched and
-# unbatched engine configs) and validates the JSON artifact: every
-# latency row must carry ordered p50/p99/p999, each config must report a
-# positive max-sustainable rate, and the batched/unbatched speedup
-# summary must be present. The smoke run also drives the mixed
+# unbatched engine configs) and validates the JSON artifact: it must
+# carry the host block every bench writes (cores, CPU model, kernel tier,
+# compiler, build type), every latency row must carry ordered
+# p50/p99/p999, each config must report a positive max-sustainable rate,
+# and the batched/unbatched speedup summary must be present. The smoke run also drives the mixed
 # insert/delete/query churn workload against a ConcurrentHAIndex, and
 # the validator requires the churn row: a positive mutation rate,
 # published epochs, and ordered percentiles, proving reads-during-writes
@@ -63,8 +64,12 @@
 # same inputs every run, so it is a gate, not a campaign. fuzz_vertical
 # differentially checks the bit-plane vertical kernels against the
 # horizontal layout, a fuzz-chosen batch of queries in one shared plane
-# scan against one-query scans, and the CodeSet upkeep (fill, churn
-# across the plane copy's floor, range entries) against a scalar loop.
+# scan against one-query scans, the same over the codes in prefix order
+# (where the common-bit summaries skip blocks) and through churn, the
+# summaries' soundness after every phase, and the CodeSet upkeep (fill,
+# churn across the plane copy's floor, range entries) against a scalar
+# loop. The ASan+UBSan filter's VerticalStore/Kernels/CodeSet/BatchApi
+# suites hold the summary, prefix-order and scan-vs-brute-force tests.
 #
 # The perfbench smoke stage builds the repository benchmark (perfbench/,
 # into .bench_build/) and runs every workload at toy size, traced and
@@ -173,6 +178,11 @@ python3 - "$OBS_DIR/serving.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
+host = report.get("host")
+assert host, "serving report has no host block"
+for field in ("cores", "cpu_model", "kernel_tier", "compiler", "build_type"):
+    assert field in host, f"host block missing {field!r}: {host}"
+assert host["cores"] > 0, f"host block reports no cores: {host}"
 rows = report["rows"]
 assert rows, "serving report has no rows"
 latency_rows = [r for r in rows if r["section"] in ("closed_loop", "open_loop")]

@@ -54,6 +54,7 @@ Status ConcurrentHAIndex::Snapshot::SearchBatch(
     stats.results += resp.ids.size();
     stats.planes_scanned += planes.planes_scanned;
     stats.blocks_pruned += planes.blocks_pruned;
+    stats.blocks_skipped += planes.blocks_skipped;
   }
   return Status::OK();
 }

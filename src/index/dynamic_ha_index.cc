@@ -586,6 +586,7 @@ Status DynamicHAIndex::SearchOne(const BinaryCode& query, std::size_t h,
   stats.results += out->ids.size();
   stats.planes_scanned += planes.planes_scanned;
   stats.blocks_pruned += planes.blocks_pruned;
+  stats.blocks_skipped += planes.blocks_skipped;
   return Status::OK();
 }
 

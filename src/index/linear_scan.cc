@@ -1,5 +1,9 @@
 #include "index/linear_scan.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 namespace hamming {
 
 namespace {
@@ -15,15 +19,46 @@ void RecordScan(std::size_t n, std::size_t results,
   stats->results += results;
   stats->planes_scanned += planes.planes_scanned;
   stats->blocks_pruned += planes.blocks_pruned;
+  stats->blocks_skipped += planes.blocks_skipped;
+}
+
+// slots[i] = where code i goes in prefix order: a stable counting sort
+// on the leading `key_bits` code bits. The key widens with n, about two
+// bits past one key per 64-lane group, so a group's codes share most of
+// their key; it is capped at the code width and at 16 bits, which keeps
+// the histogram small.
+std::vector<uint32_t> PrefixSlots(const std::vector<BinaryCode>& codes) {
+  const std::size_t n = codes.size();
+  if (n == 0) return {};
+  const std::size_t key_bits = std::min<std::size_t>(
+      {codes[0].size(), 16,
+       static_cast<std::size_t>(std::bit_width(n / 64)) + 2});
+  // One pass over the codes extracts the keys (MSB-first, code bits
+  // 0..key_bits-1 are the top bits of word 0) into `slots`; a second,
+  // over the keys alone, turns each into its slot.
+  std::vector<uint32_t> slots(n, 0);
+  std::vector<uint32_t> next(std::size_t{1} << key_bits, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (key_bits > 0) {
+      slots[i] =
+          static_cast<uint32_t>(codes[i].words()[0] >> (64 - key_bits));
+    }
+    ++next[slots[i]];
+  }
+  uint32_t start = 0;
+  for (uint32_t& count : next) start += std::exchange(count, start);
+  for (uint32_t& slot : slots) slot = next[slot]++;
+  return slots;
 }
 
 }  // namespace
 
 Status LinearScanIndex::Build(const std::vector<BinaryCode>& codes) {
-  HAMMING_ASSIGN_OR_RETURN(codes_, kernels::CodeSet::FromCodes(codes));
+  const std::vector<uint32_t> slots = PrefixSlots(codes);
+  HAMMING_ASSIGN_OR_RETURN(codes_, kernels::CodeSet::FromCodes(codes, slots));
   ids_.resize(codes.size());
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    ids_[i] = static_cast<TupleId>(i);
+    ids_[slots[i]] = static_cast<TupleId>(i);
   }
   return Status::OK();
 }
@@ -115,8 +150,11 @@ MemoryBreakdown LinearScanIndex::Memory() const {
   MemoryBreakdown mb;
   mb.leaf_bytes += codes_.PackedBytes();
   // The bit-plane copy, once present, doubles the code bytes held;
-  // account it as index overhead rather than leaf payload.
-  if (codes_.planes() != nullptr) mb.internal_bytes += codes_.PackedBytes();
+  // account it and its common-bit summaries as index overhead rather
+  // than leaf payload.
+  if (const auto* planes = codes_.planes(); planes != nullptr) {
+    mb.internal_bytes += codes_.PackedBytes() + planes->SummaryBytes();
+  }
   mb.leaf_bytes += ids_.size() * sizeof(TupleId);
   return mb;
 }

@@ -169,6 +169,7 @@ Status MultiHashTableIndex::SearchOne(const BinaryCode& query, std::size_t h,
     stats.exact_distance_computations += bucket.ids.size();
     stats.planes_scanned += planes.planes_scanned;
     stats.blocks_pruned += planes.blocks_pruned;
+    stats.blocks_skipped += planes.blocks_skipped;
     for (const auto& hit : hits) out.push_back(bucket.ids[hit.slot]);
   }
   std::sort(out.begin(), out.end());

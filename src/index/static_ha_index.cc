@@ -161,6 +161,7 @@ Status StaticHAIndex::AnswerRange(const BinaryCode& query, std::size_t h,
     stats.results += out.size();
     stats.planes_scanned += vstats.planes_scanned;
     stats.blocks_pruned += vstats.blocks_pruned;
+    stats.blocks_skipped += vstats.blocks_skipped;
     return Status::OK();
   }
   resp->has_distances = true;
@@ -254,8 +255,9 @@ MemoryBreakdown StaticHAIndex::Memory() const {
   // Leaf side: per tuple, one node reference per level plus the id.
   mb.leaf_bytes += path_nodes_.size() * sizeof(uint32_t) +
                    paths_.size() * sizeof(TupleId);
-  // Bit-plane sidecar for the vertical scan path.
-  mb.internal_bytes += vcodes_.PackedBytes();
+  // Bit-plane sidecar for the vertical scan path, with its common-bit
+  // summaries.
+  mb.internal_bytes += vcodes_.PackedBytes() + vcodes_.SummaryBytes();
   return mb;
 }
 

@@ -6,9 +6,10 @@
 
 namespace hamming::kernels {
 
-Result<CodeSet> CodeSet::FromCodes(const std::vector<BinaryCode>& codes) {
+Result<CodeSet> CodeSet::FromCodes(const std::vector<BinaryCode>& codes,
+                                   std::span<const uint32_t> slots) {
   CodeSet set;
-  HAMMING_ASSIGN_OR_RETURN(set.words_, CodeStore::FromCodes(codes));
+  HAMMING_ASSIGN_OR_RETURN(set.words_, CodeStore::FromCodes(codes, slots));
   if (set.size() >= kVerticalMinCodes) {
     set.planes_.emplace().AssignTransposed(set.words_);
   }

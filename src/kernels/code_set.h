@@ -13,13 +13,22 @@
 // the plane scan when ChooseLayout(bits, h, n) picks the vertical layout,
 // and the word lanes otherwise. A batch pays one pass per layout: its
 // plane-routed queries share one block-major plane scan (each block's
-// planes are read once, by groups of up to four queries), and its other
-// queries share one tile-major pass over the word lanes. Every entry
-// refuses a query whose width is not the set's.
+// planes are read once, by groups of up to four queries, after the
+// block's common-bit summaries have skipped it for every query they
+// rule out), and its other queries share one tile-major pass over the
+// word lanes. Every entry refuses a query whose width is not the set's.
+//
+// A set keeps its codes in the slots the caller gives them: FromCodes in
+// input order or in a given permutation, Append at the tail, SwapRemove
+// moving the last code into the hole. The plane copy's summaries only
+// skip blocks when neighbouring slots share bits, which is why
+// LinearScanIndex builds its set in prefix order; every other holder
+// keeps insertion order, and its summaries stay sound but rarely prune.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "code/binary_code.h"
@@ -50,8 +59,10 @@ class CodeSet {
   /// Creates an empty set of `bits`-bit codes.
   explicit CodeSet(std::size_t bits) { Reset(bits); }
 
-  /// \brief Builds a set over `codes` (all must share one length).
-  static Result<CodeSet> FromCodes(const std::vector<BinaryCode>& codes);
+  /// \brief Builds a set over `codes` (all must share one length), code
+  /// i in slot slots[i] when `slots` is given (CodeStore::FromCodes).
+  static Result<CodeSet> FromCodes(const std::vector<BinaryCode>& codes,
+                                   std::span<const uint32_t> slots = {});
 
   /// \brief Empties the set, drops the plane copy and fixes the width
   /// (0 = adopt the first Append's).

@@ -12,14 +12,32 @@ void CodeStore::Reset(std::size_t bits) {
   data_.clear();
 }
 
-Result<CodeStore> CodeStore::FromCodes(const std::vector<BinaryCode>& codes) {
+Result<CodeStore> CodeStore::FromCodes(const std::vector<BinaryCode>& codes,
+                                       std::span<const uint32_t> slots) {
   CodeStore store;
   if (codes.empty()) return store;
-  store.Reset(codes[0].size());
-  store.Grow((codes.size() + kLaneAlign - 1) / kLaneAlign * kLaneAlign);
-  for (const auto& c : codes) {
-    HAMMING_RETURN_NOT_OK(store.Append(c));
+  const std::size_t n = codes.size();
+  if (!slots.empty() && slots.size() != n) {
+    return Status::InvalidArgument("CodeStore: one slot per code required");
   }
+  store.Reset(codes[0].size());
+  store.Grow((n + kLaneAlign - 1) / kLaneAlign * kLaneAlign);
+  // Scatter: codes are read once in order and each word lands in its
+  // slot of its lane.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (codes[i].size() != store.bits_) {
+      return Status::InvalidArgument("CodeStore: code length mismatch");
+    }
+    const std::size_t slot = slots.empty() ? i : slots[i];
+    if (slot >= n) {
+      return Status::InvalidArgument("CodeStore: slot out of range");
+    }
+    const auto& words = codes[i].words();
+    for (std::size_t w = 0; w < store.nwords_; ++w) {
+      store.data_[w * store.stride_ + slot] = words[w];
+    }
+  }
+  store.size_ = n;
   return store;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "code/binary_code.h"
@@ -40,7 +41,10 @@ class CodeStore {
   void Reset(std::size_t bits);
 
   /// \brief Builds a store over `codes` (all must share one length).
-  static Result<CodeStore> FromCodes(const std::vector<BinaryCode>& codes);
+  /// With `slots`, code i lands in slot slots[i], which must be a
+  /// permutation of [0, codes.size()); without, in slot i.
+  static Result<CodeStore> FromCodes(const std::vector<BinaryCode>& codes,
+                                     std::span<const uint32_t> slots = {});
 
   /// \brief Appends one code; adopts its length if the store is empty.
   Status Append(const BinaryCode& code);

@@ -20,7 +20,7 @@ void RangeHitsAvx2(const CodeStore& store, const uint64_t* qwords, uint32_t h,
                    std::size_t base, std::size_t len,
                    std::vector<SlotDistance>* hits);
 void VerticalMultiScanAvx2(const VerticalCodeStore& store,
-                           const PlaneGroup* groups, std::size_t ngroups);
+                           PlaneQuery* queries, std::size_t nq);
 }  // namespace detail
 #endif
 
@@ -35,14 +35,14 @@ void RangeHitsAvx512(const CodeStore& store, const uint64_t* qwords,
                      uint32_t h, std::size_t base, std::size_t len,
                      std::vector<SlotDistance>* hits);
 void VerticalMultiScanAvx512(const VerticalCodeStore& store,
-                             const PlaneGroup* groups, std::size_t ngroups);
+                             PlaneQuery* queries, std::size_t nq);
 }  // namespace detail
 #endif
 
 // Portable vertical scan (hamming_kernels_vertical.cc); always built.
 namespace detail {
 void VerticalMultiScanPortable(const VerticalCodeStore& store,
-                               const PlaneGroup* groups, std::size_t ngroups);
+                               PlaneQuery* queries, std::size_t nq);
 }  // namespace detail
 
 namespace {
@@ -176,22 +176,22 @@ void RangeHits(const CodeStore& store, const uint64_t* qwords, uint32_t h,
   RangeHitsPortable(store, qwords, h, base, len, hits);
 }
 
-// Runs the vertical scan's groups on the active backend.
+// Runs the vertical scan on the active backend.
 void VerticalMultiScan(const VerticalCodeStore& store,
-                       const detail::PlaneGroup* groups, std::size_t ngroups) {
+                       detail::PlaneQuery* queries, std::size_t nq) {
 #if defined(HAMMING_HAVE_AVX512_TU)
   if (g_backend.load(std::memory_order_relaxed) == Backend::kAvx512) {
-    detail::VerticalMultiScanAvx512(store, groups, ngroups);
+    detail::VerticalMultiScanAvx512(store, queries, nq);
     return;
   }
 #endif
 #if defined(HAMMING_HAVE_AVX2_TU)
   if (g_backend.load(std::memory_order_relaxed) == Backend::kAvx2) {
-    detail::VerticalMultiScanAvx2(store, groups, ngroups);
+    detail::VerticalMultiScanAvx2(store, queries, nq);
     return;
   }
 #endif
-  detail::VerticalMultiScanPortable(store, groups, ngroups);
+  detail::VerticalMultiScanPortable(store, queries, nq);
 }
 
 // Tile size for the scratch-buffered scans: 1024 distances = 4 KB on the
@@ -313,37 +313,33 @@ void MultiWithinDistance(const VerticalCodeStore& store,
     }
   }
   if (scanned.empty()) return;
-  // qmask[p] is all-ones when query bit p is set: the scan's mismatch row
-  // for plane p is plane_row ^ qmask[p].
+  // Ordered by counter-plane count (query order within a count), so each
+  // block's survivors form groups that share one; qmask[p] is all-ones
+  // when query bit p is set: the scan's mismatch row for plane p is
+  // plane_row ^ qmask[p].
+  std::stable_sort(scanned.begin(), scanned.end(),
+                   [](const VerticalQuery* a, const VerticalQuery* b) {
+                     return detail::CounterPlanes(a->h) <
+                            detail::CounterPlanes(b->h);
+                   });
   std::vector<uint64_t> qmasks(scanned.size() * bits);
   std::vector<detail::PlaneQuery> scans(scanned.size());
   for (std::size_t s = 0; s < scanned.size(); ++s) {
+    const VerticalQuery& query = *scanned[s];
     uint64_t* qmask = qmasks.data() + s * bits;
     for (std::size_t p = 0; p < bits; ++p) {
-      qmask[p] = scanned[s]->code->GetBit(p) ? ~0ull : 0ull;
+      qmask[p] = query.code->GetBit(p) ? ~0ull : 0ull;
     }
-    scans[s] = {qmask, detail::CounterBias(scanned[s]->h), scanned[s]->slots};
+    scans[s] = {qmask, query.code->words().data(), query.h,
+                detail::CounterPlanes(query.h), query.slots};
   }
-  // Groups of up to kMaxGroup queries with one counter-plane count, in
-  // query order within each count.
-  std::vector<detail::PlaneGroup> groups;
-  for (std::size_t np = 1; np <= detail::kMaxCounterPlanes; ++np) {
-    detail::PlaneGroup* open = nullptr;
-    for (std::size_t s = 0; s < scanned.size(); ++s) {
-      if (detail::CounterPlanes(scanned[s]->h) != np) continue;
-      if (open == nullptr || open->size == detail::kMaxGroup) {
-        open = &groups.emplace_back();
-        open->counter_planes = np;
-      }
-      open->queries[open->size++] = &scans[s];
-    }
-  }
-  VerticalMultiScan(store, groups.data(), groups.size());
+  VerticalMultiScan(store, scans.data(), scans.size());
   for (std::size_t s = 0; s < scanned.size(); ++s) {
     VerticalScanStats* stats = scanned[s]->stats;
     if (stats == nullptr) continue;
     stats->planes_scanned += scans[s].planes_read;
     stats->blocks_pruned += scans[s].blocks_pruned;
+    stats->blocks_skipped += scans[s].blocks_skipped;
     stats->blocks_scanned += store.num_blocks();
   }
 }

@@ -28,9 +28,13 @@
 //    codes at once, and a whole block is abandoned the moment every
 //    lane's running count already exceeds h. On selective (small-h)
 //    queries most blocks die within the first few planes, so the scan
-//    reads a fraction of the planes the horizontal kernel must touch. A
-//    batch runs block-major: inside each block the queries go in groups
-//    of up to four that share each plane-row load.
+//    reads a fraction of the planes the horizontal kernel must touch.
+//    Before that, each block's common-bit summaries rule out the 64-lane
+//    groups whose shared bits already put them past h; a block with no
+//    group left is skipped without a plane row read, which on a
+//    prefix-ordered store is most blocks. A batch runs block-major:
+//    inside each block the queries the summaries left go in groups of up
+//    to four that share each plane-row load.
 // kernels::CodeSet (code_set.h) owns both layouts of a stored set and
 // picks between them per query with ChooseLayout.
 #pragma once
@@ -86,9 +90,11 @@ inline constexpr std::size_t kVerticalMinCodes = 4096;
 KernelLayout ChooseLayout(std::size_t bits, std::size_t h, std::size_t n);
 
 /// \brief Observability counters filled by one vertical scan.
+/// blocks_skipped <= blocks_pruned <= blocks_scanned.
 struct VerticalScanStats {
   uint64_t planes_scanned = 0;  // plane rows actually read
   uint64_t blocks_pruned = 0;   // blocks abandoned before the last plane
+  uint64_t blocks_skipped = 0;  // pruned by the summaries, no row read
   uint64_t blocks_scanned = 0;  // total blocks visited
 };
 
@@ -129,13 +135,16 @@ struct VerticalQuery {
 /// \brief Multi-query vertical scan: every query's slots and counters
 /// are exactly those of its own BatchWithinDistance call over `store`.
 ///
-/// The scan is block-major: the block loop is outside, and inside each
-/// 512-code block the queries run in groups of up to four that share a
-/// counter-plane count, so a group loads each plane-row pair once for all
-/// of its queries and a batch reads each block from memory once. A
-/// query's planes_scanned counts only the rows read while it was alive in
-/// a block, and blocks_pruned only the blocks it died in. All queries must
-/// have the store's code length.
+/// Each (query, block) is first checked against the block's common-bit
+/// summaries: a block none of whose lane groups can hold a match is
+/// pruned and skipped with no plane row read. The scan is then
+/// block-major: the block loop is outside, and inside each 512-code block
+/// the queries that passed its check run in groups of up to four that
+/// share a counter-plane count, so a group loads each plane-row pair once
+/// for all of its queries and a batch reads each block from memory once.
+/// A query's planes_scanned counts only the rows read while it was alive
+/// in a block, and blocks_pruned only the blocks it died in (the skipped
+/// ones included). All queries must have the store's code length.
 void MultiWithinDistance(const VerticalCodeStore& store,
                          const VerticalQuery* queries, std::size_t nq);
 

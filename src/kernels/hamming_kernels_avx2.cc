@@ -189,6 +189,46 @@ struct Avx2Ops {
     _mm256_store_si256(reinterpret_cast<__m256i*>(out), a.lo);
     _mm256_store_si256(reinterpret_cast<__m256i*>(out + 4), a.hi);
   }
+  // The valid lanes of the 64-lane groups set in `groups`: each group's
+  // bit, isolated and compared, becomes an all-ones word.
+  static V LoadGroups(const uint64_t* valid, unsigned groups) {
+    const __m256i sel_lo = _mm256_setr_epi64x(1, 2, 4, 8);
+    const __m256i sel_hi = _mm256_setr_epi64x(16, 32, 64, 128);
+    const __m256i bits = _mm256_set1_epi64x(groups);
+    const V v = Load(valid);
+    return {_mm256_and_si256(
+                v.lo, _mm256_cmpeq_epi64(_mm256_and_si256(bits, sel_lo),
+                                         sel_lo)),
+            _mm256_and_si256(
+                v.hi, _mm256_cmpeq_epi64(_mm256_and_si256(bits, sel_hi),
+                                         sel_hi))};
+  }
+  // The groups g whose summed popcount((q ^ value) & agree) is <= h,
+  // with the nibble-LUT popcount. Sums stay below 2^63, so the signed
+  // compare is exact.
+  static unsigned SummaryGroups(const uint64_t* summary,
+                                const uint64_t* qwords, std::size_t words,
+                                uint64_t h) {
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    for (std::size_t w = 0; w < words; ++w) {
+      const V agree = Load(summary + 2 * w * 8);
+      const V value = Load(summary + (2 * w + 1) * 8);
+      const V q = Splat(qwords[w]);
+      lo = _mm256_add_epi64(
+          lo, Popcount256(_mm256_and_si256(
+                  _mm256_xor_si256(q.lo, value.lo), agree.lo)));
+      hi = _mm256_add_epi64(
+          hi, Popcount256(_mm256_and_si256(
+                  _mm256_xor_si256(q.hi, value.hi), agree.hi)));
+    }
+    const __m256i hv = _mm256_set1_epi64x(static_cast<long long>(h));
+    const int over_lo = _mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(lo, hv)));
+    const int over_hi = _mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(hi, hv)));
+    return ~static_cast<unsigned>(over_lo | (over_hi << 4)) & 0xffu;
+  }
 };
 
 }  // namespace
@@ -197,8 +237,8 @@ struct Avx2Ops {
 // multi-query scan of vertical_scan_inl.h with each plane row held in two
 // 256-bit vectors.
 void VerticalMultiScanAvx2(const VerticalCodeStore& store,
-                           const PlaneGroup* groups, std::size_t ngroups) {
-  MultiScan<Avx2Ops>(store, groups, ngroups);
+                           PlaneQuery* queries, std::size_t nq) {
+  MultiScan<Avx2Ops>(store, queries, nq);
 }
 
 }  // namespace hamming::kernels::detail

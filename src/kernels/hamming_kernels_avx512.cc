@@ -195,6 +195,27 @@ struct Avx512Ops {
     return _mm512_kortestz(m, m) == 0;
   }
   static void Store(uint64_t* out, V a) { _mm512_store_si512(out, a); }
+  // The valid lanes of the 64-lane groups set in `groups`.
+  static V LoadGroups(const uint64_t* valid, unsigned groups) {
+    return _mm512_maskz_loadu_epi64(static_cast<__mmask8>(groups), valid);
+  }
+  // The groups g whose summed popcount((q ^ value) & agree) is <= h: one
+  // vpternlog (imm 0x28 = (A ^ B) & C) and one vpopcntq per code word
+  // for all eight groups.
+  static unsigned SummaryGroups(const uint64_t* summary,
+                                const uint64_t* qwords, std::size_t words,
+                                uint64_t h) {
+    __m512i dist = _mm512_setzero_si512();
+    for (std::size_t w = 0; w < words; ++w) {
+      const __m512i agree = _mm512_loadu_si512(summary + 2 * w * 8);
+      const __m512i value = _mm512_loadu_si512(summary + (2 * w + 1) * 8);
+      dist = _mm512_add_epi64(
+          dist, _mm512_popcnt_epi64(_mm512_ternarylogic_epi64(
+                    Splat(qwords[w]), value, agree, 0x28)));
+    }
+    return _mm512_cmple_epu64_mask(
+        dist, _mm512_set1_epi64(static_cast<long long>(h)));
+  }
 };
 
 }  // namespace
@@ -203,8 +224,8 @@ struct Avx512Ops {
 // multi-query scan of vertical_scan_inl.h with one vector per plane row,
 // so each query's counters and alive mask are single registers.
 void VerticalMultiScanAvx512(const VerticalCodeStore& store,
-                             const PlaneGroup* groups, std::size_t ngroups) {
-  MultiScan<Avx512Ops>(store, groups, ngroups);
+                             PlaneQuery* queries, std::size_t nq) {
+  MultiScan<Avx512Ops>(store, queries, nq);
 }
 
 }  // namespace hamming::kernels::detail

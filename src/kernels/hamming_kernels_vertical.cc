@@ -1,5 +1,6 @@
 // Portable vertical (bit-sliced) threshold scan: vertical_scan_inl.h's
 // block-major multi-query scan over plane rows of eight 64-bit words.
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -42,13 +43,41 @@ struct PortableOps {
     return any != 0;
   }
   static void Store(uint64_t* out, V a) { std::memcpy(out, &a, sizeof(a)); }
+  // The valid lanes of the 64-lane groups set in `groups`.
+  static V LoadGroups(const uint64_t* valid, unsigned groups) {
+    V v;
+    for (std::size_t g = 0; g < VerticalCodeStore::kWordsPerPlane; ++g) {
+      v[g] = ((groups >> g) & 1) != 0 ? valid[g] : 0;
+    }
+    return v;
+  }
+  // The groups g whose summed popcount((q ^ value) & agree) is <= h.
+  static unsigned SummaryGroups(const uint64_t* summary,
+                                const uint64_t* qwords, std::size_t words,
+                                uint64_t h) {
+    constexpr std::size_t kW = VerticalCodeStore::kWordsPerPlane;
+    uint64_t dist[kW] = {};
+    for (std::size_t w = 0; w < words; ++w) {
+      const uint64_t* agree = summary + 2 * w * kW;
+      const uint64_t* value = agree + kW;
+      for (std::size_t g = 0; g < kW; ++g) {
+        dist[g] += static_cast<uint64_t>(
+            std::popcount((qwords[w] ^ value[g]) & agree[g]));
+      }
+    }
+    unsigned groups = 0;
+    for (std::size_t g = 0; g < kW; ++g) {
+      groups |= (dist[g] <= h ? 1u : 0u) << g;
+    }
+    return groups;
+  }
 };
 
 }  // namespace
 
 void VerticalMultiScanPortable(const VerticalCodeStore& store,
-                               const PlaneGroup* groups, std::size_t ngroups) {
-  MultiScan<PortableOps>(store, groups, ngroups);
+                               PlaneQuery* queries, std::size_t nq) {
+  MultiScan<PortableOps>(store, queries, nq);
 }
 
 }  // namespace hamming::kernels::detail

@@ -30,6 +30,13 @@ void Transpose64(uint64_t m[64]) {
   }
 }
 
+// Code bits held by word w of a `bits`-bit code (MSB-first: code bit
+// 64w+t is word bit 63-t).
+uint64_t WordMask(std::size_t bits, std::size_t w) {
+  const std::size_t held = bits - 64 * w;
+  return held >= 64 ? ~0ull : ~0ull << (64 - held);
+}
+
 }  // namespace
 
 void VerticalCodeStore::Reset(std::size_t bits) {
@@ -37,6 +44,7 @@ void VerticalCodeStore::Reset(std::size_t bits) {
   size_ = 0;
   blocks_ = 0;
   data_.clear();
+  summary_.clear();
 }
 
 void VerticalCodeStore::EnsureBlocks(std::size_t nblocks) {
@@ -47,6 +55,7 @@ void VerticalCodeStore::EnsureBlocks(std::size_t nblocks) {
     // relayout of existing planes.
     const std::size_t grown = std::max<std::size_t>(nblocks, alloc * 2);
     data_.resize(grown * row_words, 0);
+    summary_.resize(grown * SummaryWords(), 0);
   }
   blocks_ = std::max(blocks_, nblocks);
 }
@@ -84,9 +93,10 @@ Status VerticalCodeStore::Append(const BinaryCode& code) {
   const std::size_t lane = slot % kBlockCodes;
   const std::size_t group = lane >> 6;
   const uint64_t bit = 1ull << (lane & 63);
-  const auto& words = code.words();
+  const auto& code_words = code.words();
+  CoverInSummary(slot, code_words.data(), /*first=*/(lane & 63) == 0);
   for (std::size_t w = 0; w < code.SignificantWords(); ++w) {
-    uint64_t word = words[w];
+    uint64_t word = code_words[w];
     while (word != 0) {
       const int t = std::countr_zero(word);
       word &= word - 1;
@@ -99,13 +109,36 @@ Status VerticalCodeStore::Append(const BinaryCode& code) {
   return Status::OK();
 }
 
+void VerticalCodeStore::CoverInSummary(std::size_t slot,
+                                       const uint64_t* code_words,
+                                       bool first) {
+  uint64_t* summary =
+      summary_.data() + (slot / kBlockCodes) * SummaryWords();
+  const std::size_t g = (slot % kBlockCodes) / 64;
+  for (std::size_t w = 0; w < words(); ++w) {
+    uint64_t& agree = summary[2 * w * kWordsPerPlane + g];
+    uint64_t& value = summary[(2 * w + 1) * kWordsPerPlane + g];
+    if (first) {
+      agree = WordMask(bits_, w);
+      value = code_words[w];
+    } else {
+      agree &= ~(value ^ code_words[w]);
+    }
+  }
+}
+
 void VerticalCodeStore::SwapRemove(std::size_t i) {
   const std::size_t last = size_ - 1;
+  uint64_t moved_words[BinaryCode::kWords] = {};
   for (std::size_t p = 0; p < bits_; ++p) {
     const bool moved = GetRawBit(last, p);
+    if (moved) moved_words[p / 64] |= 1ull << (63 - p % 64);
     if (i != last) SetRawBit(i, p, moved);
     if (moved) SetRawBit(last, p, false);  // keep pad lanes zero
   }
+  // Slot i's group gains the moved code; the group losing slot `last`
+  // keeps a summary that still holds over its remaining lanes.
+  if (i != last) CoverInSummary(i, moved_words, /*first=*/false);
   --size_;
   blocks_ = (size_ + kBlockCodes - 1) / kBlockCodes;
 }
@@ -123,9 +156,11 @@ void VerticalCodeStore::AssignTransposed(const CodeStore& src) {
   size_ = src.size();
   blocks_ = (size_ + kBlockCodes - 1) / kBlockCodes;
   data_.assign(blocks_ * bits_ * kWordsPerPlane, 0);
+  summary_.assign(blocks_ * SummaryWords(), 0);
   uint64_t m[64];
   for (std::size_t b = 0; b < blocks_; ++b) {
     uint64_t* planes = MutableBlockPlanes(b);
+    uint64_t* summary = summary_.data() + b * SummaryWords();
     for (std::size_t g = 0; g < kWordsPerPlane; ++g) {
       const std::size_t base = b * kBlockCodes + g * 64;
       if (base >= src.size()) break;  // remaining groups stay zero
@@ -134,8 +169,20 @@ void VerticalCodeStore::AssignTransposed(const CodeStore& src) {
       // Rows go in reversed so the anti-transpose lands plane p = 64w+t
       // in m[t] with lanes in ascending order (see Transpose64).
       const std::size_t avail = std::min<std::size_t>(64, src.stride() - base);
+      const std::size_t stored = std::min<std::size_t>(64, size_ - base);
       for (std::size_t w = 0; w < src.words(); ++w) {
         const uint64_t* lane = src.Lane(w) + base;
+        // Exact summary: the bits every stored lane has set (`all`)
+        // agree with the bits none has set (~`any`).
+        uint64_t all = ~0ull;
+        uint64_t any = 0;
+        for (std::size_t j = 0; j < stored; ++j) {
+          all &= lane[j];
+          any |= lane[j];
+        }
+        summary[2 * w * kWordsPerPlane + g] =
+            ~(all ^ any) & WordMask(bits_, w);
+        summary[(2 * w + 1) * kWordsPerPlane + g] = all;
         std::fill(m, m + 64, 0);
         for (std::size_t j = 0; j < avail; ++j) m[63 - j] = lane[j];
         Transpose64(m);
@@ -147,6 +194,34 @@ void VerticalCodeStore::AssignTransposed(const CodeStore& src) {
       }
     }
   }
+}
+
+bool VerticalCodeStore::SummariesHold(bool exact) const {
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    const uint64_t* planes = BlockPlanes(b);
+    const uint64_t* summary = BlockSummary(b);
+    const std::size_t lanes = std::min(kBlockCodes, size_ - b * kBlockCodes);
+    for (std::size_t g = 0; g < kWordsPerPlane; ++g) {
+      const uint64_t stored = StoredLanes(lanes, g);
+      if (stored == 0) continue;
+      for (std::size_t w = 0; w < words(); ++w) {
+        const uint64_t agree = summary[2 * w * kWordsPerPlane + g];
+        if ((agree & ~WordMask(bits_, w)) != 0) return false;
+      }
+      for (std::size_t p = 0; p < bits_; ++p) {
+        const uint64_t row = planes[p * kWordsPerPlane + g] & stored;
+        const bool uniform = row == 0 || row == stored;
+        const std::size_t w = p / 64;
+        const uint64_t bit = 1ull << (63 - p % 64);
+        const bool agreed = (summary[2 * w * kWordsPerPlane + g] & bit) != 0;
+        const bool value =
+            (summary[(2 * w + 1) * kWordsPerPlane + g] & bit) != 0;
+        if (agreed && (!uniform || value != (row != 0))) return false;
+        if (exact && uniform && !agreed) return false;
+      }
+    }
+  }
+  return true;
 }
 
 bool VerticalCodeStore::IsTransposeOf(const CodeStore& src) const {

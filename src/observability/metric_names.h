@@ -48,6 +48,7 @@ inline constexpr char kServingQueueDepthPeak[] = "serving.queue_depth_peak";
 // "<prefix>.verified", "<prefix>.results", "<prefix>.kernel_nanos".
 inline constexpr char kKernelPlanesScanned[] = "kernel.planes_scanned";
 inline constexpr char kKernelBlocksPruned[] = "kernel.blocks_pruned";
+inline constexpr char kKernelBlocksSkipped[] = "kernel.blocks_skipped";
 
 // ---- index epochs (src/index/epoch.h) -------------------------------------
 // Dynamic family, not declared: "<prefix>.epoch_published",

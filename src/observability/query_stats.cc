@@ -26,6 +26,8 @@ std::string QueryStats::ToJson() const {
   w.Uint(planes_scanned);
   w.Key("blocks_pruned");
   w.Uint(blocks_pruned);
+  w.Key("blocks_skipped");
+  w.Uint(blocks_skipped);
   w.Key("serving_queue_nanos");
   w.Uint(serving_queue_nanos);
   w.EndObject();
@@ -45,6 +47,7 @@ QueryStatsHistograms QueryStatsHistograms::Register(
   h.results = registry->Histogram(prefix + ".results");
   h.planes_scanned = registry->Histogram(metric_names::kKernelPlanesScanned);
   h.blocks_pruned = registry->Histogram(metric_names::kKernelBlocksPruned);
+  h.blocks_skipped = registry->Histogram(metric_names::kKernelBlocksSkipped);
   h.serving_queue_nanos = registry->Histogram(prefix + ".serving_queue_nanos");
   return h;
 }
@@ -64,6 +67,7 @@ void QueryStatsHistograms::Observe(MetricsRegistry* registry,
   HAMMING_METRIC_OBSERVE(registry, results, stats.results);
   HAMMING_METRIC_OBSERVE(registry, planes_scanned, stats.planes_scanned);
   HAMMING_METRIC_OBSERVE(registry, blocks_pruned, stats.blocks_pruned);
+  HAMMING_METRIC_OBSERVE(registry, blocks_skipped, stats.blocks_skipped);
   HAMMING_METRIC_OBSERVE(registry, serving_queue_nanos,
                          stats.serving_queue_nanos);
 }

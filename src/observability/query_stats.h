@@ -28,10 +28,13 @@
 //    layer's admission queue before its batch reached the index (zero
 //    for queries issued outside src/serving/). The serving engine stamps
 //    it so per-query work profiles and queueing delay travel together.
-//  * planes_scanned / blocks_pruned — vertical (bit-sliced) kernel
-//    counters: plane rows actually read and 512-code blocks abandoned
-//    early. Zero whenever the query ran on the horizontal layout; the
-//    pruned/scanned ratio is the layout's win on this query.
+//  * planes_scanned / blocks_pruned / blocks_skipped — vertical
+//    (bit-sliced) kernel counters: plane rows actually read, 512-code
+//    blocks abandoned early, and the subset of those the blocks'
+//    common-bit summaries ruled out before any plane row was read. Zero
+//    whenever the query ran on the horizontal layout; the pruned/scanned
+//    ratio is the layout's win on this query, the skipped share the part
+//    of it the store's order bought.
 //
 // QueryStats is a plain accumulator with no synchronization: one stats
 // object belongs to one query (or one single-threaded batch). Aggregate
@@ -56,6 +59,7 @@ struct QueryStats {
   uint64_t results = 0;
   uint64_t planes_scanned = 0;
   uint64_t blocks_pruned = 0;
+  uint64_t blocks_skipped = 0;
   uint64_t serving_queue_nanos = 0;
 
   QueryStats& operator+=(const QueryStats& o) {
@@ -68,6 +72,7 @@ struct QueryStats {
     results += o.results;
     planes_scanned += o.planes_scanned;
     blocks_pruned += o.blocks_pruned;
+    blocks_skipped += o.blocks_skipped;
     serving_queue_nanos += o.serving_queue_nanos;
     return *this;
   }
@@ -81,6 +86,7 @@ struct QueryStats {
            rescanned_results == o.rescanned_results && results == o.results &&
            planes_scanned == o.planes_scanned &&
            blocks_pruned == o.blocks_pruned &&
+           blocks_skipped == o.blocks_skipped &&
            serving_queue_nanos == o.serving_queue_nanos;
   }
 
@@ -101,13 +107,15 @@ struct QueryStatsHistograms {
   MetricId results = kOverflowMetric;
   MetricId planes_scanned = kOverflowMetric;
   MetricId blocks_pruned = kOverflowMetric;
+  MetricId blocks_skipped = kOverflowMetric;
   MetricId serving_queue_nanos = kOverflowMetric;
 
   /// \brief Registers the histograms under `prefix` + ".candidates" etc.
   /// (default prefix "query"). The vertical-kernel counters always
-  /// register under the fixed names "kernel.planes_scanned" and
-  /// "kernel.blocks_pruned" regardless of prefix, so every index family
-  /// feeds one pair of kernel histograms. Safe to call repeatedly.
+  /// register under the fixed names "kernel.planes_scanned",
+  /// "kernel.blocks_pruned" and "kernel.blocks_skipped" regardless of
+  /// prefix, so every index family feeds one set of kernel histograms.
+  /// Safe to call repeatedly.
   static QueryStatsHistograms Register(MetricsRegistry* registry,
                                        const std::string& prefix = "query");
 

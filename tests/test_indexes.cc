@@ -4,6 +4,8 @@
 // code lengths and data distributions with TEST_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "index/concurrent_ha_index.h"
@@ -518,6 +520,117 @@ TEST(BatchApi, CoalescedScanBatchMatchesBatchesOfOne) {
     if (requests[i].h * 8 <= 64) {
       EXPECT_GT(alone.stats.planes_scanned, 0u) << "request " << i;
     }
+  }
+}
+
+TEST(BatchApi, PrefixOrderedScanMatchesBruteForceThroughChurn) {
+  // LinearScanIndex::Build lays codes out in prefix order, so the plane
+  // scan's common-bit summaries skip blocks; Insert appends at the tail
+  // and Delete swap-removes, narrowing the summaries. Range and kNN
+  // answers must equal a scalar brute force over the live (id, code)
+  // pairs at every radius, before and after interleaved churn, and every
+  // request of a batch must equal the same request sent alone.
+  for (std::size_t bits : {31ul, 64ul, 128ul}) {
+    const auto codes = RandomCodes(6000, bits, /*seed=*/bits + 90,
+                                   /*clusters=*/24, /*flip_bits=*/3);
+    LinearScanIndex index;
+    ASSERT_TRUE(index.Build(codes).ok());
+    std::map<TupleId, BinaryCode> live;
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      live.emplace(static_cast<TupleId>(i), codes[i]);
+    }
+    Rng rng(bits);
+    auto any_live = [&]() -> const std::pair<const TupleId, BinaryCode>& {
+      auto it = live.begin();
+      std::advance(it,
+                   rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      return *it;
+    };
+    uint64_t skipped = 0;
+    auto check = [&](const char* phase) {
+      std::vector<QueryRequest> requests;
+      for (std::size_t q = 0; q < 6; ++q) {
+        BinaryCode code = any_live().second;
+        code.FlipBit(static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bits) - 1)));
+        for (std::size_t h : {0ul, 1ul, 3ul, bits / 8, bits - 1, bits}) {
+          requests.push_back(QueryRequest::Range(code, h));
+        }
+      }
+      std::vector<QueryResponse> responses(requests.size());
+      ASSERT_TRUE(index.SearchBatch(requests, responses).ok());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const QueryRequest& req = requests[i];
+        std::vector<std::pair<TupleId, uint32_t>> want;
+        for (const auto& [id, code] : live) {
+          const auto d = static_cast<uint32_t>(code.Distance(req.code));
+          if (d <= req.h) want.emplace_back(id, d);
+        }
+        ASSERT_TRUE(responses[i].status.ok());
+        std::vector<std::pair<TupleId, uint32_t>> got;
+        for (std::size_t j = 0; j < responses[i].ids.size(); ++j) {
+          got.emplace_back(responses[i].ids[j], responses[i].distances[j]);
+        }
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << phase << " bits=" << bits << " h=" << req.h;
+        QueryResponse alone;
+        ASSERT_TRUE(index.SearchBatch({&req, 1}, {&alone, 1}).ok());
+        EXPECT_EQ(responses[i].ids, alone.ids) << phase << " request " << i;
+        EXPECT_EQ(responses[i].distances, alone.distances)
+            << phase << " request " << i;
+        EXPECT_TRUE(responses[i].stats == alone.stats)
+            << phase << " request " << i << ": "
+            << responses[i].stats.ToJson() << " vs " << alone.stats.ToJson();
+        EXPECT_LE(alone.stats.blocks_skipped, alone.stats.blocks_pruned);
+        skipped += alone.stats.blocks_skipped;
+      }
+      std::vector<QueryRequest> knn;
+      for (std::size_t k : {1ul, 10ul, 50ul}) {
+        knn.push_back(QueryRequest::Knn(any_live().second, k));
+      }
+      std::vector<QueryResponse> nearest(knn.size());
+      ASSERT_TRUE(index.KnnBatch(knn, nearest).ok());
+      for (std::size_t i = 0; i < knn.size(); ++i) {
+        std::vector<uint32_t> want;
+        for (const auto& [id, code] : live) {
+          want.push_back(static_cast<uint32_t>(code.Distance(knn[i].code)));
+        }
+        std::sort(want.begin(), want.end());
+        want.resize(knn[i].k);
+        ASSERT_TRUE(nearest[i].status.ok());
+        std::vector<uint32_t> got;
+        std::vector<TupleId> ids;
+        for (const auto& [id, d] : nearest[i].neighbors) {
+          ASSERT_EQ(live.count(id), 1u) << phase << " id " << id;
+          EXPECT_EQ(live.at(id).Distance(knn[i].code), d) << phase;
+          got.push_back(d);
+          ids.push_back(id);
+        }
+        EXPECT_EQ(got, want) << phase << " bits=" << bits << " k="
+                             << knn[i].k;
+        std::sort(ids.begin(), ids.end());
+        EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+      }
+    };
+    check("build");
+    TupleId next = static_cast<TupleId>(codes.size());
+    for (std::size_t step = 0; step < 600; ++step) {
+      if (rng.UniformInt(0, 1) == 0) {
+        const auto [id, code] = any_live();
+        ASSERT_TRUE(index.Delete(id, code).ok());
+        live.erase(id);
+      } else {
+        BinaryCode code = any_live().second;
+        code.FlipBit(static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bits) - 1)));
+        ASSERT_TRUE(index.Insert(next, code).ok());
+        live.emplace(next++, code);
+      }
+    }
+    ASSERT_EQ(index.size(), live.size());
+    check("churn");
+    // The prefix order must actually exercise the skip.
+    EXPECT_GT(skipped, 0u) << "bits=" << bits;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "common/rng.h"
 #include "common/threadpool.h"
@@ -353,6 +354,133 @@ TEST(VerticalStore, SwapRemoveTracksCodeStore) {
   EXPECT_TRUE(v.empty());
 }
 
+// ---------------------------------------------------------------------------
+// Common-bit summaries: per (block, 64-lane group), `agree` marks the
+// planes uniform over the group's stored lanes and `value` their bits.
+// AssignTransposed makes them exact; Append and SwapRemove may only
+// narrow them, so every set agree bit must keep holding.
+// ---------------------------------------------------------------------------
+
+const std::size_t kSummaryWidths[] = {1, 31, 63, 64, 65, 128, 511, 512};
+
+// Codes in prefix (numeric) order: neighbours share leading bits, so
+// groups have uniform planes for the summaries to record.
+std::vector<BinaryCode> PrefixSorted(std::vector<BinaryCode> codes) {
+  std::sort(codes.begin(), codes.end());
+  return codes;
+}
+
+// The exact (agree, value) words of code word w over the codes of lane
+// group g of block b, worked out bit by bit from the codes.
+std::pair<uint64_t, uint64_t> ExactSummary(
+    const std::vector<BinaryCode>& codes, std::size_t b, std::size_t g,
+    std::size_t w) {
+  const std::size_t bits = codes.front().size();
+  const std::size_t lo = b * VerticalCodeStore::kBlockCodes + g * 64;
+  const std::size_t hi = std::min(codes.size(), lo + 64);
+  uint64_t agree = 0;
+  uint64_t value = 0;
+  for (std::size_t t = 0; t < 64 && 64 * w + t < bits; ++t) {
+    const std::size_t p = 64 * w + t;
+    bool uniform = true;
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      uniform = uniform && codes[i].GetBit(p) == codes[lo].GetBit(p);
+    }
+    if (!uniform) continue;
+    agree |= 1ull << (63 - t);
+    if (codes[lo].GetBit(p)) value |= 1ull << (63 - t);
+  }
+  return {agree, value};
+}
+
+TEST(VerticalStore, SummariesExactAfterTranspose) {
+  for (std::size_t bits : kSummaryWidths) {
+    for (std::size_t n : {1ul, 63ul, 64ul, 65ul, 512ul, 1500ul}) {
+      for (bool sorted : {false, true}) {
+        auto codes = RandomCodes(n, bits, /*seed=*/bits * 17 + n,
+                                 /*clusters=*/3, /*flip_bits=*/2);
+        if (sorted) codes = PrefixSorted(std::move(codes));
+        auto store = CodeStore::FromCodes(codes).ValueOrDie();
+        VerticalCodeStore v;
+        v.AssignTransposed(store);
+        ASSERT_TRUE(v.SummariesHold(/*exact=*/true))
+            << "bits=" << bits << " n=" << n << " sorted=" << sorted;
+        // The accessor's layout, against summaries worked out from the
+        // codes: agree exact, value wherever agree is set.
+        const std::size_t words = (bits + 63) / 64;
+        for (std::size_t b = 0; b < v.num_blocks(); ++b) {
+          const uint64_t* summary = v.BlockSummary(b);
+          for (std::size_t g = 0; g < VerticalCodeStore::kWordsPerPlane;
+               ++g) {
+            if (b * VerticalCodeStore::kBlockCodes + g * 64 >= n) break;
+            for (std::size_t w = 0; w < words; ++w) {
+              const auto [agree, value] = ExactSummary(codes, b, g, w);
+              const uint64_t got_agree =
+                  summary[2 * w * VerticalCodeStore::kWordsPerPlane + g];
+              const uint64_t got_value =
+                  summary[(2 * w + 1) * VerticalCodeStore::kWordsPerPlane + g];
+              ASSERT_EQ(got_agree, agree)
+                  << "bits=" << bits << " n=" << n << " b=" << b
+                  << " g=" << g << " w=" << w;
+              ASSERT_EQ(got_value & agree, value)
+                  << "bits=" << bits << " n=" << n << " b=" << b
+                  << " g=" << g << " w=" << w;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VerticalStore, SummariesStaySoundUnderAppendAndSwapRemove) {
+  // Fuzz-chosen runs of appends (near-copies of stored codes, so groups
+  // keep agreeing on most planes) and swap-removes (anywhere, so moved
+  // codes cross groups, blocks and the tail) over a prefix-sorted store.
+  // After every step the summaries must hold, and a scan that trusts
+  // them must still find every match.
+  for (std::size_t bits : kSummaryWidths) {
+    Rng rng(bits * 101);
+    auto codes = PrefixSorted(RandomCodes(1100, bits, /*seed=*/bits + 5,
+                                          /*clusters=*/4, /*flip_bits=*/3));
+    auto store = CodeStore::FromCodes(codes).ValueOrDie();
+    VerticalCodeStore v;
+    v.AssignTransposed(store);
+    for (std::size_t step = 0; step < 400; ++step) {
+      const bool append = store.size() < 64 || rng.UniformInt(0, 2) == 0;
+      if (append) {
+        BinaryCode code = codes[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(codes.size()) - 1))];
+        code.FlipBit(static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bits) - 1)));
+        ASSERT_TRUE(store.Append(code).ok());
+        ASSERT_TRUE(v.Append(code).ok());
+      } else {
+        const auto i = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(store.size()) - 1));
+        store.SwapRemove(i);
+        v.SwapRemove(i);
+      }
+      ASSERT_TRUE(v.SummariesHold(/*exact=*/false))
+          << "bits=" << bits << " step=" << step << " size=" << v.size();
+      if (step % 40 != 39) continue;
+      ASSERT_TRUE(v.IsTransposeOf(store)) << "bits=" << bits;
+      const BinaryCode query = store.Get(store.size() / 2);
+      for (std::size_t h : {0ul, 1ul, bits / 8}) {
+        std::vector<uint32_t> want;
+        BatchWithinDistance(query, store, h, &want);
+        for (Backend backend : BackendsUnderTest()) {
+          ScopedBackend pin(backend);
+          std::vector<uint32_t> got;
+          BatchWithinDistance(query, v, h, &got);
+          ASSERT_EQ(got, want) << BackendName(backend) << " bits=" << bits
+                               << " step=" << step << " h=" << h;
+        }
+      }
+    }
+  }
+}
+
 TEST(Kernels, VerticalWithinDistanceMatchesScalarEverywhere) {
   for (Backend backend : BackendsUnderTest()) {
     ScopedBackend pin(backend);
@@ -538,23 +666,62 @@ PlaneBatch MakePlaneBatch(const std::vector<BinaryCode>& stored,
                                      const VerticalScanStats& want) {
   if (got.planes_scanned == want.planes_scanned &&
       got.blocks_pruned == want.blocks_pruned &&
+      got.blocks_skipped == want.blocks_skipped &&
       got.blocks_scanned == want.blocks_scanned) {
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure()
-         << "planes/pruned/blocks " << got.planes_scanned << "/"
-         << got.blocks_pruned << "/" << got.blocks_scanned << " vs "
-         << want.planes_scanned << "/" << want.blocks_pruned << "/"
+         << "planes/pruned/skipped/blocks " << got.planes_scanned << "/"
+         << got.blocks_pruned << "/" << got.blocks_skipped << "/"
+         << got.blocks_scanned << " vs " << want.planes_scanned << "/"
+         << want.blocks_pruned << "/" << want.blocks_skipped << "/"
          << want.blocks_scanned;
 }
 
-// The counters a plane scan of `query` must report, worked out lane by
-// lane: a lane dies in the pair holding its (h+1)-th mismatching plane, a
-// block dies in the pair where its last valid lane does (a death in the
-// odd trailing plane is not a prune), and a scan reads every plane up to
-// and including that pair.
-VerticalScanStats ReferencePlaneStats(const std::vector<BinaryCode>& codes,
-                                      const BinaryCode& query, std::size_t h) {
+// The counters a plane scan of `query` must report over a store that
+// AssignTransposed built from `codes`, worked out lane by lane. First the
+// summaries: a 64-lane group whose uniform planes differ from the query
+// in more than h bits starts dead, and a block with no live group is
+// pruned and skipped with no plane read. Then the planes: a lane dies in
+// the pair holding its (h+1)-th mismatching plane, a block dies in the
+// pair where its last live lane does (a death in the odd trailing plane
+// is not a prune), and a scan reads every plane up to and including that
+// pair.
+// Lower bound per (block, lane group) on the distance from `query` to
+// the group's codes: its mismatches on the group's uniform planes.
+std::vector<std::size_t> SummaryBounds(
+    const std::vector<std::pair<uint64_t, uint64_t>>& summaries,
+    const BinaryCode& query) {
+  const std::size_t words = (query.size() + 63) / 64;
+  std::vector<std::size_t> bounds(summaries.size() / words, 0);
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    const auto [agree, value] = summaries[i];
+    bounds[i / words] += static_cast<std::size_t>(
+        std::popcount((query.words()[i % words] ^ value) & agree));
+  }
+  return bounds;
+}
+
+// ExactSummary of every (block, group, word) holding codes, in that
+// order, with the words of a group innermost.
+std::vector<std::pair<uint64_t, uint64_t>> ExactSummaries(
+    const std::vector<BinaryCode>& codes) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  const std::size_t words = (codes.front().size() + 63) / 64;
+  for (std::size_t lo = 0; lo < codes.size(); lo += 64) {
+    for (std::size_t w = 0; w < words; ++w) {
+      out.push_back(ExactSummary(codes, lo / VerticalCodeStore::kBlockCodes,
+                                 lo % VerticalCodeStore::kBlockCodes / 64, w));
+    }
+  }
+  return out;
+}
+
+VerticalScanStats ReferencePlaneStats(
+    const std::vector<BinaryCode>& codes,
+    const std::vector<std::pair<uint64_t, uint64_t>>& summaries,
+    const BinaryCode& query, std::size_t h) {
+  const std::vector<std::size_t> bounds = SummaryBounds(summaries, query);
   VerticalScanStats want;
   const std::size_t bits = query.size();
   const std::size_t pair_planes = bits - bits % 2;
@@ -564,8 +731,20 @@ VerticalScanStats ReferencePlaneStats(const std::vector<BinaryCode>& codes,
     if (h >= bits) continue;  // the all-slots shortcut reads no plane
     const std::size_t end =
         std::min(codes.size(), base + VerticalCodeStore::kBlockCodes);
+    std::vector<bool> live_group(VerticalCodeStore::kWordsPerPlane, false);
+    bool any_live = false;
+    for (std::size_t g = 0; base + g * 64 < end; ++g) {
+      live_group[g] = bounds[(base + g * 64) / 64] <= h;
+      any_live = any_live || live_group[g];
+    }
+    if (!any_live) {
+      ++want.blocks_pruned;
+      ++want.blocks_skipped;
+      continue;
+    }
     std::size_t block_death = 0;  // planes read by the pair it died in
     for (std::size_t i = base; i < end && block_death <= pair_planes; ++i) {
+      if (!live_group[(i - base) / 64]) continue;
       std::size_t mismatches = 0;
       std::size_t p = 0;
       for (; p < bits && mismatches <= h; ++p) {
@@ -585,58 +764,86 @@ VerticalScanStats ReferencePlaneStats(const std::vector<BinaryCode>& codes,
   return want;
 }
 
+// The stores the shared-pass test runs over: clustered codes in arrival
+// order, where few planes are uniform over a group, and clustered and
+// uniform codes in prefix order, where the summaries skip blocks.
+enum class StoreOrder { kClusteredArrival, kClusteredSorted, kUniformSorted };
+
+std::vector<BinaryCode> SharedPassCodes(std::size_t n, std::size_t bits,
+                                        StoreOrder order) {
+  const uint64_t seed = bits * 31 + n;
+  if (order == StoreOrder::kUniformSorted) {
+    return PrefixSorted(RandomCodes(n, bits, seed));
+  }
+  auto codes = RandomCodes(n, bits, seed, /*clusters=*/6,
+                           std::max<std::size_t>(2, bits / 16));
+  if (order == StoreOrder::kClusteredSorted) {
+    codes = PrefixSorted(std::move(codes));
+  }
+  return codes;
+}
+
 TEST(Kernels, VerticalMultiScanMatchesGroupsOfOne) {
+  uint64_t skipped = 0;
   for (std::size_t bits : kSetWidths) {
     for (std::size_t n : kSharedPassSizes) {
-      auto codes = RandomCodes(n, bits, /*seed=*/bits * 31 + n,
-                               /*clusters=*/6,
-                               std::max<std::size_t>(2, bits / 16));
-      auto store = CodeStore::FromCodes(codes).ValueOrDie();
-      VerticalCodeStore v;
-      v.AssignTransposed(store);
-      for (Backend backend : BackendsUnderTest()) {
-        ScopedBackend pin(backend);
-        Rng rng(bits * 7 + n);
-        for (std::size_t nq = 1; nq <= 9; ++nq) {
-          PlaneBatch batch = MakePlaneBatch(codes, nq, &rng);
-          // One radius at or past the width takes the all-slots shortcut.
-          if (nq == 9) batch.radii[4] = bits;
-          std::vector<std::vector<uint32_t>> slots(nq);
-          std::vector<VerticalScanStats> stats(nq);
-          std::vector<VerticalQuery> scans;
-          for (std::size_t q = 0; q < nq; ++q) {
-            scans.push_back(
-                {&batch.codes[q], batch.radii[q], &slots[q], &stats[q]});
-          }
-          MultiWithinDistance(v, scans.data(), scans.size());
-          for (std::size_t q = 0; q < nq; ++q) {
-            const std::size_t h = batch.radii[q];
-            std::vector<uint32_t> alone;
-            VerticalScanStats alone_stats;
-            BatchWithinDistance(batch.codes[q], v, h, &alone, &alone_stats);
-            std::vector<uint32_t> scalar;
-            for (const SlotDistance& hit :
-                 ScalarRange(codes, batch.codes[q], h)) {
-              scalar.push_back(hit.slot);
+      for (StoreOrder order :
+           {StoreOrder::kClusteredArrival, StoreOrder::kClusteredSorted,
+            StoreOrder::kUniformSorted}) {
+        auto codes = SharedPassCodes(n, bits, order);
+        const auto summaries = ExactSummaries(codes);
+        auto store = CodeStore::FromCodes(codes).ValueOrDie();
+        VerticalCodeStore v;
+        v.AssignTransposed(store);
+        for (Backend backend : BackendsUnderTest()) {
+          ScopedBackend pin(backend);
+          Rng rng(bits * 7 + n + static_cast<uint64_t>(order));
+          for (std::size_t nq = 1; nq <= 9; ++nq) {
+            PlaneBatch batch = MakePlaneBatch(codes, nq, &rng);
+            // One radius at or past the width takes the all-slots shortcut.
+            if (nq == 9) batch.radii[4] = bits;
+            std::vector<std::vector<uint32_t>> slots(nq);
+            std::vector<VerticalScanStats> stats(nq);
+            std::vector<VerticalQuery> scans;
+            for (std::size_t q = 0; q < nq; ++q) {
+              scans.push_back(
+                  {&batch.codes[q], batch.radii[q], &slots[q], &stats[q]});
             }
-            ASSERT_EQ(slots[q], alone)
-                << BackendName(backend) << " bits=" << bits << " n=" << n
-                << " nq=" << nq << " q=" << q << " h=" << h;
-            ASSERT_EQ(slots[q], scalar)
-                << BackendName(backend) << " bits=" << bits << " n=" << n
-                << " nq=" << nq << " q=" << q << " h=" << h;
-            EXPECT_TRUE(SameStats(stats[q], alone_stats))
-                << BackendName(backend) << " bits=" << bits << " n=" << n
-                << " nq=" << nq << " q=" << q << " h=" << h;
-            EXPECT_TRUE(SameStats(
-                stats[q], ReferencePlaneStats(codes, batch.codes[q], h)))
-                << BackendName(backend) << " bits=" << bits << " n=" << n
-                << " nq=" << nq << " q=" << q << " h=" << h;
+            MultiWithinDistance(v, scans.data(), scans.size());
+            for (std::size_t q = 0; q < nq; ++q) {
+              const std::size_t h = batch.radii[q];
+              std::vector<uint32_t> alone;
+              VerticalScanStats alone_stats;
+              BatchWithinDistance(batch.codes[q], v, h, &alone, &alone_stats);
+              std::vector<uint32_t> scalar;
+              for (const SlotDistance& hit :
+                   ScalarRange(codes, batch.codes[q], h)) {
+                scalar.push_back(hit.slot);
+              }
+              ASSERT_EQ(slots[q], alone)
+                  << BackendName(backend) << " bits=" << bits << " n=" << n
+                  << " nq=" << nq << " q=" << q << " h=" << h;
+              ASSERT_EQ(slots[q], scalar)
+                  << BackendName(backend) << " bits=" << bits << " n=" << n
+                  << " nq=" << nq << " q=" << q << " h=" << h;
+              EXPECT_TRUE(SameStats(stats[q], alone_stats))
+                  << BackendName(backend) << " bits=" << bits << " n=" << n
+                  << " nq=" << nq << " q=" << q << " h=" << h;
+              EXPECT_TRUE(SameStats(stats[q],
+                                    ReferencePlaneStats(codes, summaries,
+                                                        batch.codes[q], h)))
+                  << BackendName(backend) << " bits=" << bits << " n=" << n
+                  << " order=" << static_cast<int>(order) << " nq=" << nq
+                  << " q=" << q << " h=" << h;
+              skipped += stats[q].blocks_skipped;
+            }
           }
         }
       }
     }
   }
+  // The sorted stores must actually exercise the skip.
+  EXPECT_GT(skipped, 0u);
 }
 
 TEST(Kernels, VerticalSharedGroupKeepsPerQueryCounters) {
