@@ -1,7 +1,6 @@
 // Google-benchmark microbenchmarks of the primitives the paper's cost
-// model is built on: XOR+popcount distance, Gray rank, masked partial
-// distance, batched kernel scans, and H-Search across index
-// implementations.
+// model is built on: XOR+popcount distance, Gray rank, batched kernel
+// scans, and H-Search across index implementations.
 //
 // The custom main() additionally times the batched kernels against the
 // scalar BinaryCode loop, the vertical scan alone and in shared batches,
@@ -18,7 +17,6 @@
 
 #include "bench_common.h"
 #include "code/gray.h"
-#include "code/masked_code.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "observability/stopwatch.h"
@@ -83,15 +81,6 @@ void BM_GrayRank(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GrayRank)->Arg(32)->Arg(512);
-
-void BM_MaskedPartialDistance(benchmark::State& state) {
-  auto codes = MakeCodes(2, 64, 1);
-  MaskedCode pattern = MaskedCode::Agreement(codes[0], codes[1]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pattern.PartialDistance(codes[0]));
-  }
-}
-BENCHMARK(BM_MaskedPartialDistance);
 
 // ---- Batched kernel benchmarks (ns/code = time / items) -----------------
 

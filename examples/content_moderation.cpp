@@ -43,7 +43,7 @@ int main() {
   // One shared hash, trained on the blocklist.
   SpectralHashingOptions hopts;
   hopts.code_bits = 64;
-  auto hash = std::shared_ptr<const SimilarityHash>(
+  auto hash = std::shared_ptr<const SpectralHashing>(
       SpectralHashing::Train(blocklist, hopts).ValueOrDie().release());
   auto block_table =
       HammingTable::FromFeatures(std::move(blocklist), hash).ValueOrDie();

@@ -41,7 +41,8 @@
 # invariants) — the data-race gate for the concurrent index.
 #
 # The lint stage runs the repo-invariant linter (tools/lint/lint.py:
-# layering DAG, raw-sync ban, metric-arg purity) — first its --self-test
+# layering DAG, orphan modules, raw-sync ban, metric-arg purity, declared
+# metric names, kernel TU flags, build coverage) — first its --self-test
 # (seeded violations must be detected, the negative test), then the real
 # tree — plus clang-tidy over src/ when a clang-tidy binary is on PATH.
 # The tidy sweep is blocking: .clang-tidy promotes every enabled family

@@ -114,6 +114,16 @@ BinaryCode SpectralHashing::Hash(std::span<const double> vec) const {
   return code;
 }
 
+std::vector<BinaryCode> SpectralHashing::HashAll(
+    const FloatMatrix& data) const {
+  std::vector<BinaryCode> out;
+  out.reserve(data.rows());
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    out.push_back(Hash(data.Row(i)));
+  }
+  return out;
+}
+
 void SpectralHashing::Serialize(BufferWriter* w) const {
   w->PutVarint64(code_bits_);
   w->PutVarint64(dim_);

@@ -1,6 +1,8 @@
-// Spectral Hashing (Weiss, Torralba, Fergus — NIPS'08), the hash function
-// the paper's experiments train (Section 6: "We choose the state-of-the-art
-// Spectral Hashing as the hash function").
+// Spectral Hashing (Weiss, Torralba, Fergus — NIPS'08), the similarity
+// hash H : R^d -> {0,1}^L the paper's experiments train (Section 6: "We
+// choose the state-of-the-art Spectral Hashing as the hash function").
+// The pipeline (Section 1) maps each high-dimensional tuple to its binary
+// code with it; all Hamming machinery then operates on the codes.
 //
 // Training: PCA of a sample, a uniform-distribution fit on each principal
 // direction, and selection of the L analytical Laplacian eigenfunctions
@@ -9,9 +11,12 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <vector>
 
+#include "code/binary_code.h"
 #include "common/result.h"
-#include "hashing/similarity_hash.h"
+#include "dataset/matrix.h"
 
 namespace hamming {
 
@@ -24,7 +29,7 @@ struct SpectralHashingOptions {
 };
 
 /// \brief A trained Spectral Hashing model.
-class SpectralHashing final : public SimilarityHash {
+class SpectralHashing {
  public:
   /// \brief Trains on a sample of the data distribution.
   ///
@@ -33,12 +38,20 @@ class SpectralHashing final : public SimilarityHash {
   static Result<std::unique_ptr<SpectralHashing>> Train(
       const FloatMatrix& sample, const SpectralHashingOptions& opts);
 
-  std::size_t code_bits() const override { return code_bits_; }
-  std::size_t input_dim() const override { return dim_; }
+  /// \brief Code length L in bits.
+  std::size_t code_bits() const { return code_bits_; }
+  /// \brief Input dimensionality d.
+  std::size_t input_dim() const { return dim_; }
 
-  BinaryCode Hash(std::span<const double> vec) const override;
+  /// \brief Hashes one feature vector into its binary code.
+  BinaryCode Hash(std::span<const double> vec) const;
 
-  void Serialize(BufferWriter* w) const override;
+  /// \brief Hashes every row of a matrix.
+  std::vector<BinaryCode> HashAll(const FloatMatrix& data) const;
+
+  /// \brief Serializes the trained model (for the MapReduce distributed
+  /// cache and table persistence).
+  void Serialize(BufferWriter* w) const;
   static Result<std::unique_ptr<SpectralHashing>> Deserialize(BufferReader* r);
 
  private:

@@ -94,7 +94,6 @@ class ConcurrentHAIndex final : public HammingIndex {
       return Status::NotImplemented(
           "snapshot is immutable; mutate the owning ConcurrentHAIndex");
     }
-    bool SupportsDynamicUpdates() const override { return false; }
 
     /// \brief The base answers the whole batch; each response then
     /// drops its tombstoned ids and gains its delta matches. Every

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "code/gray.h"
-#include "code/masked_code.h"
 #include "kernels/hamming_kernels.h"
 
 namespace hamming {
@@ -988,17 +987,19 @@ Result<DynamicHAIndex> DynamicHAIndex::Deserialize(BufferReader* r) {
   Draft d(nw);
   Lanes pattern{};
   for (uint64_t k = 0; k < num_nodes; ++k) {
-    // The residual is derived again from the cumulative patterns.
-    MaskedCode residual, cumulative;
-    HAMMING_RETURN_NOT_OK(MaskedCode::Deserialize(r, &residual));
-    HAMMING_RETURN_NOT_OK(MaskedCode::Deserialize(r, &cumulative));
-    if (cumulative.value().size() != code_bits ||
-        cumulative.mask().size() != code_bits) {
+    // The residual (value, mask) comes first; it is derived again from
+    // the cumulative patterns, so the cumulative pair overwrites it.
+    BinaryCode value, mask;
+    HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(r, &value));
+    HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(r, &mask));
+    HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(r, &value));
+    HAMMING_RETURN_NOT_OK(BinaryCode::Deserialize(r, &mask));
+    if (value.size() != code_bits || mask.size() != code_bits) {
       return Status::IOError("corrupt node pattern length");
     }
     for (std::size_t w = 0; w < nw; ++w) {
-      pattern[2 * w] = cumulative.value().words()[w];
-      pattern[2 * w + 1] = cumulative.mask().words()[w];
+      pattern[2 * w] = value.words()[w];
+      pattern[2 * w + 1] = mask.words()[w];
     }
     // Parents follow from the child lists.
     int64_t parent;

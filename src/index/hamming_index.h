@@ -118,10 +118,6 @@ class HammingIndex {
   /// \brief Structural memory accounting for the Table 4 comparison.
   virtual MemoryBreakdown Memory() const = 0;
 
-  /// \brief True if the index supports dynamic Insert/Delete (the static
-  /// HA-Index and signature indexes rebuild instead).
-  virtual bool SupportsDynamicUpdates() const { return true; }
-
  protected:
   /// \brief Shared guard of the batch entry points: the spans must pair
   /// up 1:1. Overrides call this first.

@@ -2,20 +2,7 @@
 
 #include <algorithm>
 
-#include "kernels/hamming_kernels.h"
-
 namespace hamming {
-
-std::vector<std::pair<TupleId, uint32_t>> ExactHammingKnn(
-    const kernels::CodeStore& codes, const BinaryCode& query, std::size_t k) {
-  auto nearest = kernels::BatchKnn(query, codes, k);
-  std::vector<std::pair<TupleId, uint32_t>> out;
-  out.reserve(nearest.size());
-  for (const auto& [slot, dist] : nearest) {
-    out.emplace_back(static_cast<TupleId>(slot), dist);
-  }
-  return out;
-}
 
 Result<std::vector<Neighbor>> HammingKnnSearcher::Search(
     std::span<const double> query, std::size_t k) const {

@@ -12,20 +12,11 @@
 #include <memory>
 
 #include "common/result.h"
-#include "hashing/similarity_hash.h"
+#include "hashing/spectral_hashing.h"
 #include "index/hamming_index.h"
-#include "kernels/code_store.h"
 #include "knn/exact_knn.h"
 
 namespace hamming {
-
-/// \brief Exact k nearest codes to `query` in Hamming space: a batched
-/// linear scan feeding a bounded top-k heap (kernels::BatchKnn), so
-/// memory stays O(k). Pairs are (slot, distance), ascending by
-/// (distance, slot) — the deterministic ground truth the hash-based kNN
-/// plans are measured against.
-std::vector<std::pair<TupleId, uint32_t>> ExactHammingKnn(
-    const kernels::CodeStore& codes, const BinaryCode& query, std::size_t k);
 
 /// \brief Options for the escalating Hamming kNN search.
 struct HammingKnnOptions {
@@ -38,7 +29,7 @@ struct HammingKnnOptions {
 /// Owns neither the index nor the data; both must outlive the searcher.
 class HammingKnnSearcher {
  public:
-  HammingKnnSearcher(const HammingIndex* index, const SimilarityHash* hash,
+  HammingKnnSearcher(const HammingIndex* index, const SpectralHashing* hash,
                      const FloatMatrix* data, HammingKnnOptions opts = {})
       : index_(index), hash_(hash), data_(data), opts_(opts) {}
 
@@ -49,7 +40,7 @@ class HammingKnnSearcher {
 
  private:
   const HammingIndex* index_;
-  const SimilarityHash* hash_;
+  const SpectralHashing* hash_;
   const FloatMatrix* data_;
   HammingKnnOptions opts_;
 };

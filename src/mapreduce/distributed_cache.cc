@@ -4,30 +4,12 @@
 
 namespace hamming::mr {
 
-void DistributedCache::Broadcast(const std::string& name,
-                                 std::vector<uint8_t> blob,
-                                 Counters* counters) {
+void DistributedCache::Broadcast(const std::vector<uint8_t>& blob,
+                                 Counters* counters) const {
   if (counters != nullptr) {
     counters->Add(CounterId::kBroadcastBytes,
                   static_cast<int64_t>(blob.size() * num_nodes_));
   }
-  MutexLock lock(&mu_);
-  blobs_[name] = std::move(blob);
-}
-
-Result<std::vector<uint8_t>> DistributedCache::Fetch(
-    const std::string& name) const {
-  MutexLock lock(&mu_);
-  auto it = blobs_.find(name);
-  if (it == blobs_.end()) {
-    return Status::KeyError("no cached blob named " + name);
-  }
-  return it->second;
-}
-
-void DistributedCache::Clear() {
-  MutexLock lock(&mu_);
-  blobs_.clear();
 }
 
 }  // namespace hamming::mr

@@ -6,41 +6,27 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
-
-#include "common/result.h"
-#include "common/status.h"
-#include "common/sync.h"
 
 namespace hamming::mr {
 
 class Counters;
 
-/// \brief Named read-only byte blobs broadcast to all nodes.
+/// \brief The broadcast cost of read-only byte blobs shipped to all nodes.
 ///
-/// Broadcasting charges the blob size once per node to kBroadcastBytes —
-/// the cost Hadoop pays materializing cache files on every worker, which
-/// Section 5.4's analysis counts as |HA| * N.
+/// Mappers and reducers run in-process and read the artifacts directly,
+/// so only the cost is kept: broadcasting charges the blob size once per
+/// node to kBroadcastBytes — the cost Hadoop pays materializing cache
+/// files on every worker, which Section 5.4's analysis counts as |HA| * N.
 class DistributedCache {
  public:
   explicit DistributedCache(std::size_t num_nodes) : num_nodes_(num_nodes) {}
 
-  /// \brief Stores a blob and charges the broadcast cost.
-  void Broadcast(const std::string& name, std::vector<uint8_t> blob,
-                 Counters* counters) HAMMING_EXCLUDES(mu_);
-
-  /// \brief Fetches a blob by name.
-  Result<std::vector<uint8_t>> Fetch(const std::string& name) const
-      HAMMING_EXCLUDES(mu_);
-
-  void Clear() HAMMING_EXCLUDES(mu_);
+  /// \brief Charges the broadcast cost of `blob`.
+  void Broadcast(const std::vector<uint8_t>& blob, Counters* counters) const;
 
  private:
   std::size_t num_nodes_;
-  mutable Mutex mu_;
-  std::map<std::string, std::vector<uint8_t>> blobs_ HAMMING_GUARDED_BY(mu_);
 };
 
 }  // namespace hamming::mr

@@ -32,18 +32,18 @@
 
 namespace hamming::mrjoin {
 
-/// \brief Knobs every MapReduce join/select plan shares.
+/// \brief Knobs every MapReduce join plan shares.
 ///
 /// Each plan's options struct inherits this base, so the partition count,
 /// the Hamming threshold and the per-job execution options (attempts,
 /// speculation, fault injection, event tracing) are spelled identically
-/// across MRHA, PGBJ, PMH, MR-Select and the kNN variant. Fields a plan
-/// does not use (PGBJ joins in the original metric space, so `code_bits`
-/// and `h` are ignored there) simply stay at their defaults.
+/// across MRHA, PMH and PGBJ. Fields a plan does not use (PGBJ joins in
+/// the original metric space, so `code_bits` and `h` are ignored there)
+/// simply stay at their defaults.
 struct MRJoinOptions {
   std::size_t num_partitions = 16;  ///< reducers per MapReduce job
   std::size_t code_bits = 32;       ///< binary code length L
-  std::size_t h = 3;                ///< Hamming join/select threshold
+  std::size_t h = 3;                ///< Hamming join threshold
   double sample_rate = 0.1;         ///< driver-side sampling fraction
   uint64_t seed = 42;
   /// Execution options forwarded into every JobSpec the plan runs. The

@@ -10,11 +10,6 @@ namespace hamming::mrjoin {
 
 namespace {
 
-// Cache blob names used by the plan's jobs.
-constexpr const char* kHashBlob = "mrha/hash";
-constexpr const char* kPivotsBlob = "mrha/pivots";
-constexpr const char* kIndexBlob = "mrha/global-index";
-
 // Serializes the hash model + pivots for the distributed cache.
 std::vector<uint8_t> PackHash(const SpectralHashing& hash) {
   BufferWriter w;
@@ -82,10 +77,8 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
   std::vector<BinaryCode> sample_codes = hash_ptr->HashAll(sample);
   GrayPivots pivots =
       GrayPivots::FromSample(sample_codes, opts.num_partitions);
-  cluster->cache()->Broadcast(kHashBlob, PackHash(*hash_ptr),
-                              &plan_counters);
-  cluster->cache()->Broadcast(kPivotsBlob, PackPivots(pivots),
-                              &plan_counters);
+  cluster->cache()->Broadcast(PackHash(*hash_ptr), &plan_counters);
+  cluster->cache()->Broadcast(PackPivots(pivots), &plan_counters);
   result.phase_seconds.pivot_selection = watch.ElapsedSeconds();
 
   // ---- Phase 2: global HA-Index build ----------------------------------
@@ -148,8 +141,7 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
   }
   BufferWriter index_writer;
   global_index.Serialize(&index_writer);
-  cluster->cache()->Broadcast(kIndexBlob, index_writer.Release(),
-                              &plan_counters);
+  cluster->cache()->Broadcast(index_writer.Release(), &plan_counters);
   result.phase_seconds.index_build = watch.ElapsedSeconds();
 
   // ---- Phase 3: Hamming-join -------------------------------------------

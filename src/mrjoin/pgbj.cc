@@ -79,7 +79,7 @@ Result<PgbjResult> RunPgbjJoin(const FloatMatrix& r_data,
     }
     for (double v : radius) w.PutDouble(v);
     w.PutDouble(theta);
-    cluster->cache()->Broadcast("pgbj/pivots", w.Release(), &plan_counters);
+    cluster->cache()->Broadcast(w.Release(), &plan_counters);
   }
 
   // ---- Phase 2: the join job -------------------------------------------

@@ -40,7 +40,7 @@ Result<PmhResult> RunPmhJoin(const FloatMatrix& r_data,
   {
     BufferWriter w;
     hash_raw->Serialize(&w);
-    cluster->cache()->Broadcast("pmh/hash", w.Release(), &plan_counters);
+    cluster->cache()->Broadcast(w.Release(), &plan_counters);
   }
 
   // Build the k-table Manku index over all of R and broadcast it whole:
@@ -57,7 +57,7 @@ Result<PmhResult> RunPmhJoin(const FloatMatrix& r_data,
     HAMMING_RETURN_NOT_OK(r_index.Build(r_codes));
     BufferWriter w;
     r_index.Serialize(&w);
-    cluster->cache()->Broadcast("pmh/r-index", w.Release(), &plan_counters);
+    cluster->cache()->Broadcast(w.Release(), &plan_counters);
   }
 
   // One MapReduce job: partition S by code hash; each reducer probes the

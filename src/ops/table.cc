@@ -3,7 +3,7 @@
 namespace hamming {
 
 Result<HammingTable> HammingTable::FromFeatures(
-    FloatMatrix data, std::shared_ptr<const SimilarityHash> hash) {
+    FloatMatrix data, std::shared_ptr<const SpectralHashing> hash) {
   if (hash == nullptr) {
     return Status::InvalidArgument("hash must not be null");
   }
@@ -31,7 +31,7 @@ Result<HammingTable> HammingTable::FromCodes(std::vector<BinaryCode> codes) {
 
 Result<HammingTable> HammingTable::FromParts(
     FloatMatrix data, std::vector<BinaryCode> codes,
-    std::shared_ptr<const SimilarityHash> hash) {
+    std::shared_ptr<const SpectralHashing> hash) {
   if (!data.empty() && data.rows() != codes.size()) {
     return Status::InvalidArgument("row count does not match code count");
   }

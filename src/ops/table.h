@@ -8,7 +8,7 @@
 #include "code/binary_code.h"
 #include "common/result.h"
 #include "dataset/matrix.h"
-#include "hashing/similarity_hash.h"
+#include "hashing/spectral_hashing.h"
 #include "index/hamming_index.h"
 
 namespace hamming {
@@ -22,7 +22,7 @@ class HammingTable {
  public:
   /// \brief Hashes every row of `data` with `hash`.
   static Result<HammingTable> FromFeatures(
-      FloatMatrix data, std::shared_ptr<const SimilarityHash> hash);
+      FloatMatrix data, std::shared_ptr<const SpectralHashing> hash);
 
   /// \brief Wraps pre-computed codes (no feature vectors available; kNN
   /// re-ranking is then unavailable).
@@ -32,7 +32,7 @@ class HammingTable {
   /// layer); data and hash may be empty/null, codes are authoritative.
   static Result<HammingTable> FromParts(
       FloatMatrix data, std::vector<BinaryCode> codes,
-      std::shared_ptr<const SimilarityHash> hash);
+      std::shared_ptr<const SpectralHashing> hash);
 
   std::size_t size() const { return codes_.size(); }
   std::size_t code_bits() const {
@@ -42,7 +42,7 @@ class HammingTable {
 
   const FloatMatrix& data() const { return data_; }
   const std::vector<BinaryCode>& codes() const { return codes_; }
-  const std::shared_ptr<const SimilarityHash>& hash() const { return hash_; }
+  const std::shared_ptr<const SpectralHashing>& hash() const { return hash_; }
 
   /// \brief Hashes an external query vector with this table's hash.
   Result<BinaryCode> HashQuery(std::span<const double> vec) const;
@@ -52,7 +52,7 @@ class HammingTable {
 
   FloatMatrix data_;
   std::vector<BinaryCode> codes_;
-  std::shared_ptr<const SimilarityHash> hash_;
+  std::shared_ptr<const SpectralHashing> hash_;
 };
 
 }  // namespace hamming

@@ -30,12 +30,10 @@ Status SaveTable(const std::string& path, const HammingTable& table) {
   // Codes.
   w.PutVarint64(table.codes().size());
   for (const auto& c : table.codes()) c.Serialize(&w);
-  // Hash model: only Spectral Hashing round-trips; other models are
-  // dropped with a flag so the reader knows.
-  const auto* sh =
-      dynamic_cast<const SpectralHashing*>(table.hash().get());
-  w.PutVarint64(sh != nullptr ? 1 : 0);
-  if (sh != nullptr) sh->Serialize(&w);
+  // Hash model, behind a presence flag.
+  const SpectralHashing* hash = table.hash().get();
+  w.PutVarint64(hash != nullptr ? 1 : 0);
+  if (hash != nullptr) hash->Serialize(&w);
   return WriteContainer(path, PayloadKind::kHammingTable, w.buffer());
 }
 
@@ -66,11 +64,9 @@ Result<HammingTable> LoadTable(const std::string& path) {
   }
   uint64_t has_hash;
   HAMMING_RETURN_NOT_OK(r.GetVarint64(&has_hash));
-  std::shared_ptr<const SimilarityHash> hash;
+  std::shared_ptr<const SpectralHashing> hash;
   if (has_hash) {
-    HAMMING_ASSIGN_OR_RETURN(std::unique_ptr<SpectralHashing> sh,
-                             SpectralHashing::Deserialize(&r));
-    hash = std::shared_ptr<const SimilarityHash>(sh.release());
+    HAMMING_ASSIGN_OR_RETURN(hash, SpectralHashing::Deserialize(&r));
   }
   return HammingTable::FromParts(std::move(data), std::move(codes),
                                  std::move(hash));

@@ -19,8 +19,7 @@ Result<DynamicHAIndex> LoadIndex(const std::string& path);
 /// Spectral Hashing model).
 Status SaveTable(const std::string& path, const HammingTable& table);
 
-/// \brief Loads a HammingTable written by SaveTable. Tables saved with a
-/// non-SpectralHashing model reload without a hash function.
+/// \brief Loads a HammingTable written by SaveTable.
 Result<HammingTable> LoadTable(const std::string& path);
 
 }  // namespace hamming::storage

@@ -99,7 +99,6 @@ TEST(ConcurrentIndexBasic, SnapshotIsImmutable) {
   ASSERT_TRUE(cha.Build(codes).ok());
   ConcurrentHAIndex::SnapshotPtr snap = cha.Pin();
   ASSERT_NE(snap, nullptr);
-  EXPECT_FALSE(snap->SupportsDynamicUpdates());
   // The const entry points are the whole surface; mutators refuse.
   auto* mutable_snap = const_cast<ConcurrentHAIndex::Snapshot*>(snap.get());
   EXPECT_TRUE(mutable_snap->Build(codes).IsNotImplemented());

@@ -7,9 +7,9 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 
-#include "code/masked_code.h"
 #include "index/concurrent_ha_index.h"
 #include "index/linear_scan.h"
 #include "test_util.h"
@@ -329,11 +329,28 @@ TEST(DynamicHAIndex, WindowSizeSweepStaysExact) {
 // twice, instead of handing a cyclic forest to the traversals.
 // ---------------------------------------------------------------------------
 
+// A node pattern in the paper's dot notation ("01..."): '.' is a
+// wildcard, '0'/'1' an effective bit; mask marks the effective bits.
+struct NodePattern {
+  BinaryCode value;
+  BinaryCode mask;
+};
+
+NodePattern Pattern(std::string_view dots) {
+  NodePattern p{BinaryCode(dots.size()), BinaryCode(dots.size())};
+  for (std::size_t i = 0; i < dots.size(); ++i) {
+    if (dots[i] == '.') continue;
+    p.mask.SetBit(i, true);
+    p.value.SetBit(i, dots[i] == '1');
+  }
+  return p;
+}
+
 // A payload of one-word (16-bit) nodes. Each node is (cumulative pattern,
 // children, tuple ids, frequency, leaf); the residual written is the
 // cumulative pattern, which Deserialize derives again anyway.
 struct PayloadNode {
-  MaskedCode pattern;
+  NodePattern pattern;
   std::vector<uint64_t> children;
   std::vector<uint64_t> ids;
   uint64_t frequency;
@@ -351,8 +368,10 @@ std::vector<uint8_t> ForestPayload(const std::vector<PayloadNode>& nodes,
   w.PutVarint64(num_tuples);
   w.PutVarint64(nodes.size());
   for (const auto& n : nodes) {
-    n.pattern.Serialize(&w);  // residual
-    n.pattern.Serialize(&w);  // cumulative
+    for (int copy = 0; copy < 2; ++copy) {  // residual, then cumulative
+      n.pattern.value.Serialize(&w);
+      n.pattern.mask.Serialize(&w);
+    }
     w.PutVarint64Signed(-1);
     w.PutVarint64(n.children.size());
     for (uint64_t c : n.children) w.PutVarint64(c);
@@ -365,10 +384,6 @@ std::vector<uint8_t> ForestPayload(const std::vector<PayloadNode>& nodes,
   for (uint64_t r : roots) w.PutVarint64(r);
   w.PutVarint64(0);  // empty insert buffer
   return w.Release();
-}
-
-MaskedCode Pattern(const char* dots) {
-  return MaskedCode::FromPattern(dots).ValueOrDie();
 }
 
 TEST(DynamicHAIndex, DeserializeRejectsCyclicForest) {
@@ -406,7 +421,7 @@ TEST(DynamicHAIndex, DeserializeRejectsSharedChild) {
   auto ok = DynamicHAIndex::Deserialize(&ok_r);
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_TRUE(ok->CheckConsistency().ok());
-  EXPECT_EQ(testutil::Search(*ok, leaf.value(), 0).ValueOrDie(),
+  EXPECT_EQ(testutil::Search(*ok, leaf.value, 0).ValueOrDie(),
             std::vector<TupleId>{7});
 }
 

@@ -15,8 +15,6 @@
 #include "dataset/generators.h"
 #include "mapreduce/job.h"
 #include "mrjoin/mrha.h"
-#include "mrjoin/mrha_knn.h"
-#include "mrjoin/mrselect.h"
 #include "mrjoin/pgbj.h"
 #include "mrjoin/pmh.h"
 
@@ -351,9 +349,10 @@ TEST(CancelTokenTest, CancelInterruptsSleep) {
 namespace hamming::mrjoin {
 namespace {
 
-// Every MapReduce join/select plan must be fault-transparent: with
-// injected failure probability 0.2 and stragglers, results and
-// data-movement counters match the failure-free run exactly.
+// Every MapReduce join plan (MRHA A/B, PMH, PGBJ) must be
+// fault-transparent: with injected failure probability 0.2 and
+// stragglers, results and data-movement counters match the failure-free
+// run exactly.
 class PlanFaultToleranceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -453,24 +452,6 @@ TEST_F(PlanFaultToleranceTest, PgbjMatchesFailureFreeRun) {
   EXPECT_EQ(clean->shuffle_bytes, faulty->shuffle_bytes);
 }
 
-TEST_F(PlanFaultToleranceTest, MrSelectMatchesFailureFreeRun) {
-  MrSelectOptions opts;
-  opts.num_partitions = 4;
-  auto fault_opts = opts;
-  fault_opts.exec = Faulty(/*seed=*/14);
-  FloatMatrix queries = GenerateDataset(DatasetKind::kNusWide, 8,
-                                        {.num_clusters = 8, .seed = 5});
-  mr::Cluster clean_cluster({4, 2, 4});
-  mr::Cluster faulty_cluster({4, 2, 4});
-  auto clean = RunMrSelect(r_data_, queries, opts, &clean_cluster);
-  auto faulty = RunMrSelect(r_data_, queries, fault_opts, &faulty_cluster);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  ASSERT_TRUE(faulty.ok()) << faulty.status();
-  EXPECT_EQ(clean->matches, faulty->matches);
-  EXPECT_EQ(clean->shuffle_bytes, faulty->shuffle_bytes);
-  EXPECT_EQ(clean->broadcast_bytes, faulty->broadcast_bytes);
-}
-
 // Every plan must produce byte-identical results and logical counters
 // whatever the shuffle memory budget — unlimited (in-memory), 1 MiB, or
 // 64 KiB (heavy spilling) — and, at the small budget, also under injected
@@ -562,76 +543,6 @@ TEST_F(PlanFaultToleranceTest, PlansByteIdenticalAcrossShuffleBudgets) {
     fv.exec.shuffle_memory_bytes = kSmall;
     check(fv, "pgbj faulty 64KiB");
   }
-
-  {
-    MrSelectOptions opts;
-    opts.num_partitions = 4;
-    FloatMatrix queries = GenerateDataset(DatasetKind::kNusWide, 8,
-                                          {.num_clusters = 8, .seed = 5});
-    mr::Cluster base_cluster({4, 2, 4});
-    auto base = RunMrSelect(r_data_, queries, opts, &base_cluster);
-    ASSERT_TRUE(base.ok()) << base.status();
-    auto check = [&](const MrSelectOptions& variant, const std::string& what) {
-      mr::Cluster cluster({4, 2, 4});
-      auto got = RunMrSelect(r_data_, queries, variant, &cluster);
-      ASSERT_TRUE(got.ok()) << what << ": " << got.status();
-      EXPECT_EQ(base->matches, got->matches) << what;
-      EXPECT_EQ(base->shuffle_bytes, got->shuffle_bytes) << what;
-      EXPECT_EQ(base->broadcast_bytes, got->broadcast_bytes) << what;
-    };
-    for (std::size_t budget : kCleanBudgets) {
-      auto v = opts;
-      v.exec.shuffle_memory_bytes = budget;
-      check(v, "mrselect clean budget " + std::to_string(budget));
-    }
-    auto fv = opts;
-    fv.exec = Faulty(/*seed=*/24);
-    fv.exec.shuffle_memory_bytes = kSmall;
-    check(fv, "mrselect faulty 64KiB");
-  }
-
-  {
-    MrhaKnnOptions opts;
-    opts.num_partitions = 4;
-    opts.k = 5;
-    mr::Cluster base_cluster({4, 2, 4});
-    auto base = RunMrhaKnnJoin(r_data_, s_data_, opts, &base_cluster);
-    ASSERT_TRUE(base.ok()) << base.status();
-    auto check = [&](const MrhaKnnOptions& variant, const std::string& what) {
-      mr::Cluster cluster({4, 2, 4});
-      auto got = RunMrhaKnnJoin(r_data_, s_data_, variant, &cluster);
-      ASSERT_TRUE(got.ok()) << what << ": " << got.status();
-      ExpectRowsEqual(base->rows, got->rows);
-      EXPECT_EQ(base->shuffle_bytes, got->shuffle_bytes) << what;
-      EXPECT_EQ(base->broadcast_bytes, got->broadcast_bytes) << what;
-    };
-    for (std::size_t budget : kCleanBudgets) {
-      auto v = opts;
-      v.exec.shuffle_memory_bytes = budget;
-      check(v, "mrhaknn clean budget " + std::to_string(budget));
-    }
-    auto fv = opts;
-    fv.exec = Faulty(/*seed=*/25);
-    fv.exec.shuffle_memory_bytes = kSmall;
-    check(fv, "mrhaknn faulty 64KiB");
-  }
-}
-
-TEST_F(PlanFaultToleranceTest, MrhaKnnMatchesFailureFreeRun) {
-  MrhaKnnOptions opts;
-  opts.num_partitions = 4;
-  opts.k = 5;
-  auto fault_opts = opts;
-  fault_opts.exec = Faulty(/*seed=*/15);
-  mr::Cluster clean_cluster({4, 2, 4});
-  mr::Cluster faulty_cluster({4, 2, 4});
-  auto clean = RunMrhaKnnJoin(r_data_, s_data_, opts, &clean_cluster);
-  auto faulty = RunMrhaKnnJoin(r_data_, s_data_, fault_opts, &faulty_cluster);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  ASSERT_TRUE(faulty.ok()) << faulty.status();
-  ExpectRowsEqual(clean->rows, faulty->rows);
-  EXPECT_EQ(clean->shuffle_bytes, faulty->shuffle_bytes);
-  EXPECT_EQ(clean->broadcast_bytes, faulty->broadcast_bytes);
 }
 
 }  // namespace

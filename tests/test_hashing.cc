@@ -4,7 +4,6 @@
 
 #include "dataset/generators.h"
 #include "hashing/eigen.h"
-#include "hashing/simhash.h"
 #include "hashing/spectral_hashing.h"
 #include "hashing/zorder.h"
 
@@ -190,42 +189,6 @@ TEST(SpectralHashing, CodesAreNotDegenerate) {
     if (codes[i] != codes[0]) ++distinct;
   }
   EXPECT_GT(distinct, codes.size() / 4);
-}
-
-// ---------------------------------------------------------------------------
-// SimHash
-// ---------------------------------------------------------------------------
-
-TEST(SimHash, CreateValidation) {
-  EXPECT_FALSE(SimHash::Create(0, 32).ok());
-  EXPECT_FALSE(SimHash::Create(8, 0).ok());
-  EXPECT_FALSE(SimHash::Create(8, 1024).ok());
-}
-
-TEST(SimHash, AngularLocality) {
-  // Pr[bit differs] = angle/pi: scaled copies of a vector collide.
-  auto hash = SimHash::Create(16, 64, /*seed=*/5).ValueOrDie();
-  Rng rng(9);
-  std::vector<double> v(16);
-  for (double& x : v) x = rng.Gaussian();
-  std::vector<double> scaled(v);
-  for (double& x : scaled) x *= 3.7;
-  EXPECT_EQ(hash->Hash(v), hash->Hash(scaled));
-  std::vector<double> negated(v);
-  for (double& x : negated) x = -x;
-  EXPECT_EQ(hash->Hash(v).Distance(hash->Hash(negated)), 64u);
-}
-
-TEST(SimHash, SerializationRoundTrip) {
-  auto hash = SimHash::Create(8, 32, /*seed=*/11).ValueOrDie();
-  BufferWriter w;
-  hash->Serialize(&w);
-  BufferReader r(w.buffer());
-  auto back = SimHash::Deserialize(&r).ValueOrDie();
-  Rng rng(13);
-  std::vector<double> v(8);
-  for (double& x : v) x = rng.Gaussian();
-  EXPECT_EQ(hash->Hash(v), back->Hash(v));
 }
 
 // ---------------------------------------------------------------------------

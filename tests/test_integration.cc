@@ -1,7 +1,6 @@
 // End-to-end integration sweeps across module boundaries: the full
-// feature-vectors -> hash -> index -> query pipeline, the distributed
-// select across partition counts, and persistence in the middle of a
-// workflow.
+// feature-vectors -> hash -> index -> query pipeline at every code length,
+// and persistence in the middle of a workflow.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,43 +9,12 @@
 #include "dataset/scale.h"
 #include "hashing/spectral_hashing.h"
 #include "index/linear_scan.h"
-#include "mrjoin/mrselect.h"
 #include "ops/operators.h"
 #include "storage/persist.h"
 #include "test_util.h"
 
 namespace hamming {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Distributed select across partition counts.
-// ---------------------------------------------------------------------------
-
-class MrSelectPartitionTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(MrSelectPartitionTest, PartitionCountNeverChangesAnswers) {
-  const std::size_t partitions = GetParam();
-  FloatMatrix data = GenerateDataset(DatasetKind::kNusWide, 400,
-                                     {.num_clusters = 8, .seed = 4});
-  FloatMatrix queries = GenerateQueries(DatasetKind::kNusWide, 5,
-                                        {.num_clusters = 8, .seed = 4});
-  mr::Cluster cluster({partitions, 2, 4});
-  mrjoin::MrSelectOptions opts;
-  opts.num_partitions = partitions;
-  auto result = mrjoin::RunMrSelect(data, queries, opts, &cluster);
-  ASSERT_TRUE(result.ok()) << result.status();
-
-  // Reference run with one partition.
-  mr::Cluster ref_cluster({1, 2, 2});
-  mrjoin::MrSelectOptions ref_opts = opts;
-  ref_opts.num_partitions = 1;
-  auto ref = mrjoin::RunMrSelect(data, queries, ref_opts, &ref_cluster);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(result->matches, ref->matches);
-}
-
-INSTANTIATE_TEST_SUITE_P(Partitions, MrSelectPartitionTest,
-                         ::testing::Values(1u, 2u, 5u, 16u));
 
 // ---------------------------------------------------------------------------
 // Full pipeline: generate -> scale -> hash -> table -> operators.
@@ -57,7 +25,7 @@ TEST(Integration, ScaledDatasetThroughFullPipeline) {
   auto scaled = ScaleDataset(base, 3);
   SpectralHashingOptions hopts;
   hopts.code_bits = 32;
-  auto hash = std::shared_ptr<const SimilarityHash>(
+  auto hash = std::shared_ptr<const SpectralHashing>(
       SpectralHashing::Train(base, hopts).ValueOrDie().release());
   auto table =
       HammingTable::FromFeatures(std::move(scaled), hash).ValueOrDie();
@@ -109,7 +77,7 @@ TEST_P(CodeLengthTest, EndToEndExactAtEveryCodeLength) {
                               {.num_clusters = 8, .seed = 6});
   SpectralHashingOptions hopts;
   hopts.code_bits = bits;
-  auto hash = std::shared_ptr<const SimilarityHash>(
+  auto hash = std::shared_ptr<const SpectralHashing>(
       SpectralHashing::Train(data, hopts).ValueOrDie().release());
   auto table =
       HammingTable::FromFeatures(std::move(data), hash).ValueOrDie();

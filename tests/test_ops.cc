@@ -27,7 +27,7 @@ class OpsTest : public ::testing::Test {
                                          {.num_clusters = 8, .seed = 1});
     SpectralHashingOptions hopts;
     hopts.code_bits = 32;
-    hash_ = std::shared_ptr<const SimilarityHash>(
+    hash_ = std::shared_ptr<const SpectralHashing>(
         SpectralHashing::Train(r_data, hopts).ValueOrDie().release());
     r_ = std::make_unique<HammingTable>(
         HammingTable::FromFeatures(std::move(r_data), hash_).ValueOrDie());
@@ -35,7 +35,7 @@ class OpsTest : public ::testing::Test {
         HammingTable::FromFeatures(std::move(s_data), hash_).ValueOrDie());
   }
 
-  std::shared_ptr<const SimilarityHash> hash_;
+  std::shared_ptr<const SpectralHashing> hash_;
   std::unique_ptr<HammingTable> r_;
   std::unique_ptr<HammingTable> s_;
 };

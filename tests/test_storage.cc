@@ -134,7 +134,7 @@ TEST_F(StorageTest, TableRoundTripWithFeaturesAndHash) {
   FloatMatrix data = GenerateDataset(DatasetKind::kNusWide, 100);
   SpectralHashingOptions hopts;
   hopts.code_bits = 32;
-  auto hash = std::shared_ptr<const SimilarityHash>(
+  auto hash = std::shared_ptr<const SpectralHashing>(
       SpectralHashing::Train(data, hopts).ValueOrDie().release());
   auto table =
       HammingTable::FromFeatures(std::move(data), hash).ValueOrDie();

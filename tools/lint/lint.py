@@ -32,6 +32,11 @@ Enforced invariants (rule ids in brackets):
                    families. Dynamic names built from a prefix
                    expression (QueryStatsHistograms, epoch.*) don't
                    match the literal pattern and are exempt by design.
+  [orphan-module]  Every header under src/ is #included by a file
+                   under src/, bench/, perfbench/ or examples/ other
+                   than its own .cc. Includes from tests/ and fuzz/ do
+                   not count: a module that only its own tests call is
+                   dead weight, and it goes (or gains a real caller).
   [kernel-tu]      SIMD kernel translation units keep their -m<isa>
                    flags: every TU in KERNEL_TU_FLAGS that appears in
                    compile_commands.json must be compiled with all of
@@ -88,7 +93,7 @@ ALLOWED_EDGES = {
     "mapreduce": {"common", "observability", "storage"},
     "mrjoin": {"code", "common", "dataset", "hashing", "index", "join",
                "knn", "mapreduce", "observability"},
-    "serving": {"code", "common", "index", "kernels", "observability"},
+    "serving": {"code", "common", "index", "observability"},
 }
 
 # Per-file exceptions to ALLOWED_EDGES, as {relative path: extra target
@@ -308,6 +313,35 @@ def _only_via_exceptions(graph, start, targets):
                 return False
             stack.append(inc)
     return True
+
+
+# --------------------------------------------------------------------------
+# Rule: orphan-module
+# --------------------------------------------------------------------------
+
+# The trees whose includes keep a src/ header alive. tests/ and fuzz/ are
+# left out on purpose: they exercise modules, they are not callers.
+LIVE_INCLUDER_DIRS = ["src", "bench", "perfbench", "examples"]
+
+
+def check_orphan_modules(root: str, violations: list):
+    src = os.path.join(root, "src")
+    includers = {}  # include path (relative to src/) -> including files
+    for path in iter_source_files(root, LIVE_INCLUDER_DIRS):
+        for _, inc in quoted_includes(open(path, encoding="utf-8").read()):
+            includers.setdefault(inc, set()).add(rel(root, path))
+    for path in iter_source_files(root, ["src"]):
+        if not path.endswith(".h"):
+            continue
+        header = rel(src, path)
+        own_cc = "src/" + header[:-len(".h")] + ".cc"
+        if not includers.get(header, set()) - {own_cc}:
+            violations.append(Violation(
+                rel(root, path), 1, "orphan-module",
+                "no file under src/, bench/, perfbench/ or examples/ "
+                "includes this header except its own .cc (tests/ and "
+                "fuzz/ do not count) — give the module a caller or "
+                "delete it"))
 
 
 # --------------------------------------------------------------------------
@@ -590,6 +624,11 @@ FIXTURES = {
     "src/ops/bad_metric_name2.cc":
         ('void f() { auto id = reg->Histogram("serving.undeclared_hist"); }'
          "\n", "metric-name"),
+    # A module only its own .cc and a test include.
+    "src/ops/orphan_module.h": ("#pragma once\n", "orphan-module"),
+    "src/ops/orphan_module.cc": ('#include "ops/orphan_module.h"\n', None),
+    "tests/test_orphan_module.cc":
+        ('#include "ops/orphan_module.h"\n', None),
     # Clean counterparts: none of these may fire.
     "src/kernels/good_layer.h":
         ('#pragma once\n#include "code/binary_code.h"\n', None),
@@ -610,6 +649,14 @@ FIXTURES = {
         ("#pragma once\n"
          "inline constexpr char kServingAccepted[] = "
          '"serving.accepted";\n', None),
+    "src/ops/live_module.h": ("#pragma once\n", None),
+    "src/ops/live_module.cc": ('#include "ops/live_module.h"\n', None),
+    # A bench includes the live module and the clean headers no other
+    # fixture includes, so none of them is an orphan.
+    "bench/bench_live_module.cc":
+        ('#include "ops/live_module.h"\n'
+         '#include "kernels/good_layer.h"\n'
+         '#include "observability/metric_names.h"\n', None),
     "src/code/binary_code.h": ("#pragma once\n", None),
     "src/mapreduce/job.h": ("#pragma once\n", None),
     "src/storage/file_io.h": ("#pragma once\n", None),
@@ -735,6 +782,7 @@ def self_test() -> int:
 def run_checks(root: str, build_dir) -> list:
     violations = []
     check_layering(root, violations)
+    check_orphan_modules(root, violations)
     check_raw_sync(root, violations)
     check_metric_args(root, violations)
     check_metric_names(root, violations)
