@@ -40,25 +40,16 @@
 # snapshot immutability, N-reader/1-mutator churn, swap-remove
 # invariants) — the data-race gate for the concurrent index.
 #
-# The lint stage runs the repo-invariant linter (tools/lint/lint.py:
-# layering DAG, orphan modules, raw-sync ban, metric-arg purity, declared
-# metric names, kernel TU flags, build coverage) — first its --self-test
-# (seeded violations must be detected, the negative test), then the real
-# tree — plus clang-tidy over src/ when a clang-tidy binary is on PATH.
-# The tidy sweep is blocking: .clang-tidy promotes every enabled family
-# to an error, so any finding fails this script.
+# The tier-1 ctest run includes the repository checker
+# (tools/analyze/analyze.py, registered by the root CMakeLists): its
+# --self-test (every seeded fixture must fire, the negative test), then
+# the tree against build/compile_commands.json, which must be clean
+# modulo tools/analyze/baseline.json (which ships empty; entries carry
+# expiry dates).
 #
-# The analyze stage runs the semantic concurrency analyzer
-# (tools/analyze/analyze.py): lock-order verification against
-# tools/analyze/lock_order.toml (undeclared nesting edges, cycles,
-# leaf-lock violations, callbacks under locks, CondVar waits with a
-# second mutex held), epoch-pin discipline (no non-leaf lock
-# acquisition, CondVar block, or user callback while an EpochPublisher
-# snapshot is pinned), and AST-accurate Status/Result discard checking
-# (the [[nodiscard]] rule that used to be a lint.py regex). Like lint,
-# it runs --self-test (every seeded fixture must fire) before the real
-# tree, and the real tree must be clean modulo tools/analyze/
-# baseline.json (which ships empty; entries carry expiry dates).
+# The clang-tidy stage runs clang-tidy over src/ when a clang-tidy binary
+# is on PATH. The sweep is blocking: .clang-tidy promotes every enabled
+# family to an error, so any finding fails this script.
 #
 # The fuzz-smoke stage builds the fuzz harnesses (fuzz/) and replays
 # their seed corpora plus a fixed number of deterministic mutations;
@@ -87,53 +78,32 @@
 # exactly what a whole-suite UBSan pass exists to catch.
 #
 # Usage: scripts/check.sh [--skip-asan] [--skip-tsan] [--skip-ubsan]
-#                         [--skip-lint] [--skip-analyze] [--skip-fuzz]
+#                         [--skip-fuzz]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SKIP_ASAN=0
 SKIP_TSAN=0
 SKIP_UBSAN=0
-SKIP_LINT=0
-SKIP_ANALYZE=0
 SKIP_FUZZ=0
 for arg in "$@"; do
   [[ "$arg" == "--skip-asan" ]] && SKIP_ASAN=1
   [[ "$arg" == "--skip-tsan" ]] && SKIP_TSAN=1
   [[ "$arg" == "--skip-ubsan" ]] && SKIP_UBSAN=1
-  [[ "$arg" == "--skip-lint" ]] && SKIP_LINT=1
-  [[ "$arg" == "--skip-analyze" ]] && SKIP_ANALYZE=1
   [[ "$arg" == "--skip-fuzz" ]] && SKIP_FUZZ=1
 done
 
-echo "==> tier-1: configure + build + ctest (build/)"
+echo "==> tier-1: configure + build + ctest, checker included (build/)"
 cmake -B build -S . -DHAMMING_FUZZERS=ON >/dev/null
-cmake --build build -j
-(cd build && ctest --output-on-failure -j)
+cmake --build build -j "$(nproc)"
+(cd build && ctest --output-on-failure -j "$(nproc)")
 
-if [[ "$SKIP_LINT" == "1" ]]; then
-  echo "==> skipping lint stage (--skip-lint)"
+if command -v clang-tidy >/dev/null 2>&1; then
+  echo "==> clang-tidy (.clang-tidy profile, blocking) over src/"
+  find src -name '*.cc' -print0 | xargs -0 -P "$(nproc)" -n 8 \
+    clang-tidy -p build --quiet
 else
-  echo "==> lint: repo-invariant linter self-test (negative test)"
-  python3 tools/lint/lint.py --self-test
-  echo "==> lint: tools/lint over the tree (compile_commands.json: build/)"
-  python3 tools/lint/lint.py --build-dir build
-  if command -v clang-tidy >/dev/null 2>&1; then
-    echo "==> lint: clang-tidy (.clang-tidy profile, blocking) over src/"
-    find src -name '*.cc' -print0 | xargs -0 -P "$(nproc)" -n 8 \
-      clang-tidy -p build --quiet
-  else
-    echo "==> lint: clang-tidy not on PATH; skipping tidy sweep"
-  fi
-fi
-
-if [[ "$SKIP_ANALYZE" == "1" ]]; then
-  echo "==> skipping analyze stage (--skip-analyze)"
-else
-  echo "==> analyze: semantic analyzer self-test (negative test)"
-  python3 tools/analyze/analyze.py --self-test
-  echo "==> analyze: lock-order + epoch-pin + discard passes over src/"
-  python3 tools/analyze/analyze.py --build-dir build
+  echo "==> clang-tidy not on PATH; skipping tidy sweep"
 fi
 
 if [[ "$SKIP_FUZZ" == "1" ]]; then
@@ -265,7 +235,7 @@ else
   echo "==> sanitizers: Debug + ASan/UBSan kernel differential (build-asan/)"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DHAMMING_SANITIZE=ON \
     >/dev/null
-  cmake --build build-asan -j --target hamming_tests
+  cmake --build build-asan -j "$(nproc)" --target hamming_tests
   ./build-asan/tests/hamming_tests \
     --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*:BatchApi.*:IndexKnn.*:ConcurrentIndex*:Serde.*:MrJoin*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
@@ -279,7 +249,7 @@ else
   echo "==> sanitizers: Debug + TSan over the MapReduce runtime (build-tsan/)"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DHAMMING_TSAN=ON \
     >/dev/null
-  cmake --build build-tsan -j --target hamming_tests
+  cmake --build build-tsan -j "$(nproc)" --target hamming_tests
   ./build-tsan/tests/hamming_tests --gtest_filter=\
 'MapReduce*:FaultTolerance*:PlanFaultTolerance*:CancelToken*:ThreadPool*:Concurrency*:Metrics*:TraceJson*:VerticalStore*:Kernels.VerticalScanSharedAcrossThreads:CodeSet.*:Serving*:ConcurrentIndex*:ChurnStress*:DynamicHAAudit*:Telemetry*'
   echo "==> TSan: MapReduce + external shuffle under a 64 KiB budget"
@@ -293,8 +263,8 @@ else
   echo "==> sanitizers: Debug + standalone UBSan, full suite (build-ubsan/)"
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=Debug -DHAMMING_UBSAN=ON \
     >/dev/null
-  cmake --build build-ubsan -j
-  (cd build-ubsan && ctest --output-on-failure -j)
+  cmake --build build-ubsan -j "$(nproc)"
+  (cd build-ubsan && ctest --output-on-failure -j "$(nproc)")
 fi
 
 echo "==> all checks passed"

@@ -9,10 +9,10 @@
 // annotation macros expand to nothing and the wrappers compile down to
 // the std primitives they hold, so GCC builds are unchanged.
 //
-// The repo-invariant linter (tools/lint) enforces the other half of the
-// contract: no raw std::mutex / std::condition_variable / std::thread
-// outside src/common/, so there is no unannotated synchronization for
-// the analysis to miss.
+// The repository checker's [raw-sync] pass (tools/analyze) enforces the
+// other half of the contract: no raw std::mutex / std::condition_variable
+// / std::thread outside src/common/, so there is no unannotated
+// synchronization for the analysis to miss.
 //
 // Idiom notes:
 //  * Condition waits are written as explicit loops —
@@ -201,7 +201,7 @@ class CondVar {
 
 /// \brief The repo's thread type. An alias, not a wrapper — it exists so
 /// thread creation outside src/common/ goes through one greppable name
-/// (the linter forbids raw std::thread elsewhere) and can grow
+/// (the [raw-sync] check forbids raw std::thread elsewhere) and can grow
 /// annotations or naming hooks later without touching call sites.
 using Thread = std::thread;
 

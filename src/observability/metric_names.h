@@ -1,15 +1,15 @@
 // Central declarations of every statically named metric in src/.
 //
-// The [metric-name] lint rule (tools/lint/lint.py) enforces that any
-// string-literal registration — Counter("..."), Gauge("..."),
-// Histogram("...") — anywhere under src/ uses a lowercase dotted
-// identifier that is declared here. One file to grep means a typo'd
-// near-duplicate ("serving.accepted" vs "serving.acepted") becomes a
-// lint failure instead of two silently diverging time series.
+// The [metric-name] pass of the repository checker (tools/analyze)
+// enforces that any string-literal registration — Counter("..."),
+// Gauge("..."), Histogram("...") — anywhere under src/ uses a lowercase
+// dotted identifier that is declared here. One file to grep means a
+// typo'd near-duplicate ("serving.accepted" vs "serving.acepted") becomes
+// a check failure instead of two silently diverging time series.
 //
 // Families built from a runtime prefix (epoch.h's "<prefix>.epoch_*",
 // query_stats.cc's "<prefix>.candidates", job.cc's per-phase
-// "time.<phase>_seconds") are exempt by construction: the lint rule only
+// "time.<phase>_seconds") are exempt by construction: the pass only
 // matches literal-only registrations. Document such families here in
 // comments so the namespace stays surveyable.
 #pragma once

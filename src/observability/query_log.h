@@ -1,9 +1,11 @@
-// Sampled query log: the planner's calibration corpus.
+// Sampled query log: what the queries of a serving run did, per query.
 //
-// ROADMAP item 4 (adaptive planner) needs recorded per-query
-// QueryStats — candidate counts, kernel work, queueing delay — joined
-// with outcomes and latencies. This log keeps a bounded, statistically
-// honest record of a serving run:
+// A QueryEngine given a log records each request's QueryStats — candidate
+// counts, kernel work, queueing delay — with its outcome and latency, so
+// a latency post-mortem can see why the slow queries were slow.
+// bench_serving prints the slowest as its slow_query exemplar rows and
+// exports the log beside its report for tools/telemetry_report. The log
+// keeps a bounded, statistically honest record of the run:
 //
 //  * a seeded reservoir (algorithm R) of NORMAL queries, so the corpus
 //    stays a uniform sample of the whole stream no matter how long the
@@ -17,7 +19,7 @@
 // Entries carry the trace id, so a slow exemplar in the JSONL can be
 // joined against its span breakdown in the Perfetto timeline. Export is
 // one JSON object per line (JSONL): streaming-friendly for
-// tools/telemetry_report and future planner training.
+// tools/telemetry_report.
 //
 // Thread-safe: Record() is called by every engine worker; a single
 // mutex is fine because recording happens once per request, not per

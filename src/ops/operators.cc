@@ -1,7 +1,6 @@
 #include "ops/operators.h"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
 
 #include "common/sync.h"
@@ -117,34 +116,11 @@ Result<std::vector<JoinPair>> HammingJoin(const HammingTable& r,
     case JoinPlan::kNestedLoops:
       return NestedLoopsJoin(r.codes(), s.codes(), h);
     case JoinPlan::kIndexProbe: {
-      HAMMING_ASSIGN_OR_RETURN(DynamicHAIndex index,
-                               BuildIndex(r, opts.index));
+      // HA-Index on R, one h-select per S tuple.
+      HAMMING_ASSIGN_OR_RETURN(std::vector<std::vector<TupleId>> matches,
+                               HammingSelectBatch(r, s.codes(), h, opts));
       std::vector<JoinPair> out;
-      const auto& s_codes = s.codes();
-      std::vector<std::vector<TupleId>> matches(s_codes.size());
-      if (opts.pool == nullptr) {
-        HAMMING_RETURN_NOT_OK(BatchSelectInto(index, s_codes, h, matches));
-      } else {
-        const std::size_t nchunks =
-            (s_codes.size() + kParallelBatch - 1) / kParallelBatch;
-        Mutex error_mu;
-        Status first_error = Status::OK();
-        ParallelFor(opts.pool, nchunks, [&](std::size_t c) {
-          const std::size_t begin = c * kParallelBatch;
-          const std::size_t count =
-              std::min(kParallelBatch, s_codes.size() - begin);
-          Status st = BatchSelectInto(
-              index,
-              std::span<const BinaryCode>(s_codes).subspan(begin, count), h,
-              std::span<std::vector<TupleId>>(matches).subspan(begin, count));
-          if (!st.ok()) {
-            MutexLock lock(&error_mu);
-            if (first_error.ok()) first_error = st;
-          }
-        });
-        if (!first_error.ok()) return first_error;
-      }
-      for (std::size_t j = 0; j < s_codes.size(); ++j) {
+      for (std::size_t j = 0; j < matches.size(); ++j) {
         for (TupleId rid : matches[j]) {
           out.push_back({rid, static_cast<TupleId>(j)});
         }
@@ -180,9 +156,8 @@ Result<std::vector<TupleId>> SimilarityIntersect(const HammingTable& r,
     }
     return out;
   }
-  HAMMING_ASSIGN_OR_RETURN(DynamicHAIndex index, BuildIndex(s, opts.index));
-  std::vector<std::vector<TupleId>> matches(r.codes().size());
-  HAMMING_RETURN_NOT_OK(BatchSelectInto(index, r.codes(), h, matches));
+  HAMMING_ASSIGN_OR_RETURN(std::vector<std::vector<TupleId>> matches,
+                           HammingSelectBatch(s, r.codes(), h, opts));
   std::vector<TupleId> out;
   for (std::size_t i = 0; i < matches.size(); ++i) {
     if (!matches[i].empty()) out.push_back(static_cast<TupleId>(i));

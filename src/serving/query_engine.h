@@ -42,7 +42,7 @@
 // travel together.
 //
 // Threading. Built exclusively on the annotated primitives of
-// common/sync.h (the raw-sync lint ban and the TSan stage of
+// common/sync.h (the [raw-sync] check and the TSan stage of
 // scripts/check.sh keep it honest). The engine never mutates the indexes.
 // A plain (externally synchronized) index must not be mutated by anyone
 // else while the engine serves it — HammingIndex reads are const but not

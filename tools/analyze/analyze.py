@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Semantic concurrency analyzer for the hamming-mr tree.
+"""The repository checker for the hamming-mr tree: ten passes over one
+C++ frontend (python3 stdlib only; see frontend.py).
 
-Runs three AST-level passes over the translation units listed in the
-build's compile_commands.json (python3 stdlib only; see frontend.py for
-the C++ micro-frontend):
+Three semantic passes run over the program parsed from the translation
+units in the build's compile_commands.json:
 
   [lock-order]   Extracts every mutex acquisition (MutexLock /
                  ReleasableMutexLock RAII sites, manual Lock/Unlock,
@@ -21,34 +21,63 @@ the C++ micro-frontend):
                  block (CondVar wait / SleepFor / join / WaitIdle), or
                  call through a user-supplied callback — transitively
                  through the call graph.
-  [discard]      AST-accurate Status/Result discard checks replacing the
-                 lint.py regex rule: bare expression-statement discards
-                 (including through ternary and comma expressions and
-                 return-type typedefs), plus the (void)-cast
-                 justification rule and the [[nodiscard]] attribute
-                 presence check on Status/Result.
+  [discard]      AST-accurate Status/Result discard checks: bare
+                 expression-statement discards (including through
+                 ternary and comma expressions and return-type
+                 typedefs), plus the (void)-cast justification rule and
+                 the [[nodiscard]] attribute presence check on
+                 Status/Result.
+
+Five token passes read the token stream and #include list of every file
+under their roots, compiled or not ([raw-sync] and [metric-name] also
+lex the bodies of its other directives, so a macro cannot hide what they
+ban), and two build passes read compile_commands.json itself:
+
+  [layering]       Every src/ directory -> directory include edge is in
+                   ALLOWED_EDGES, and the NO_REACH rules hold over the
+                   transitive file-level include graph: kernels, common
+                   and code never reach mapreduce; mapreduce never
+                   reaches index or mrjoin.
+  [orphan-module]  Every header under src/ is included by a file under
+                   LIVE_INCLUDER_ROOTS other than its own .cc.
+  [raw-sync]       No raw std::mutex / std::condition_variable /
+                   std::thread (or their lock adapters and headers)
+                   outside src/common/; synchronization goes through the
+                   annotated wrappers in common/sync.h.
+  [metric-args]    No ++/--/assignment inside HAMMING_METRIC_* macro
+                   arguments: the macros vanish under
+                   -DHAMMING_METRICS_DISABLED.
+  [metric-name]    Every string-literal Counter/Gauge/Histogram
+                   registration under src/ is a lowercase dotted name
+                   declared in src/observability/metric_names.h.
+  [kernel-tu]      Each SIMD kernel TU is compiled with its -m<isa> flags,
+                   or is absent only because its tier is gated off.
+  [build-coverage] Every other src/ translation unit is in the build.
 
 Findings not fixed immediately live in baseline.json with a per-entry
 expiry date; expired or stale entries fail the run, so the baseline only
 ratchets toward zero.  `--self-test` seeds every pass with the negative
 fixtures under selftest/ and fails loudly if any pass stops firing.
 
-Exit status: 0 clean, 1 findings, 2 usage/internal error.
+Exit status: 0 clean, 1 findings, 2 usage/internal error (including a
+build directory without compile_commands.json).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import datetime
 import fnmatch
 import json
 import os
 import re
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from frontend import Program, parse_file  # noqa: E402
+from frontend import Program, parse_file, tokenize  # noqa: E402
 
 try:
     import tomllib
@@ -198,12 +227,12 @@ def find_cycle(edges):
 
 
 class Finding:
-    def __init__(self, rule, path, line, message, fingerprint):
+    def __init__(self, rule, path, line, message, fingerprint=None):
         self.rule = rule
         self.path = path
         self.line = line
         self.message = message
-        self.fingerprint = fingerprint
+        self.fingerprint = fingerprint or f"{rule}:{path}:{message}"
         self.baselined = False
 
     def __str__(self):
@@ -672,6 +701,395 @@ def _discard_candidates(prog, fn, name, recv):
 
 
 # --------------------------------------------------------------------------
+# Token passes: layering, orphan-module, raw-sync, metric-args, metric-name
+# --------------------------------------------------------------------------
+
+SRC_EXTS = (".h", ".cc", ".cpp")
+
+# The complete allowlist of directory -> directory include edges inside
+# src/. An edge not listed here is a finding even if it would not create
+# a cycle: growing the graph is a decision made by editing this table
+# (and DESIGN.md §4.12 alongside it).
+ALLOWED_EDGES = {
+    "common": set(),
+    "code": {"common"},
+    "kernels": {"code", "common"},
+    "observability": {"common"},
+    "dataset": {"code", "common"},
+    "hashing": {"code", "common", "dataset"},
+    "index": {"code", "common", "kernels", "observability"},
+    "chem": {"common", "index"},
+    "join": {"common", "index", "kernels"},
+    "knn": {"code", "common", "dataset", "hashing", "index"},
+    "ops": {"code", "common", "dataset", "hashing", "index", "join",
+            "kernels"},
+    "storage": {"common", "hashing", "index", "ops"},
+    "mapreduce": {"common", "observability", "storage"},
+    "mrjoin": {"code", "common", "dataset", "hashing", "index", "join",
+               "knn", "mapreduce", "observability"},
+    "serving": {"code", "common", "index", "observability"},
+}
+
+# Per-file exceptions to ALLOWED_EDGES. TraceCollector *is* an
+# mr::JobObserver: the adapter between the runtime's event stream and the
+# Chrome-trace export lives on the observability side, so the runtime
+# stays export-format-agnostic.
+FILE_EDGE_EXCEPTIONS = {
+    "observability/trace.h": {"mapreduce"},
+    "observability/trace.cc": {"mapreduce"},
+}
+
+# Reachability rules over the transitive file-level include graph, so a
+# legal direct edge cannot smuggle in an illegal layer two hops away.
+NO_REACH = [
+    ({"kernels", "common", "code"}, {"mapreduce"}),
+    ({"mapreduce"}, {"index", "mrjoin"}),
+]
+
+# The trees whose includes keep a src/ header alive. tests/ and fuzz/ are
+# left out on purpose: they exercise modules, they are not callers.
+LIVE_INCLUDER_ROOTS = ["src", "bench", "perfbench", "examples"]
+
+# [raw-sync] and [metric-args] cover every tree that compiles against src/.
+CODE_ROOTS = ["src", "tests", "bench", "examples", "fuzz"]
+
+RAW_SYNC_NAMES = {
+    "mutex", "timed_mutex", "recursive_mutex", "recursive_timed_mutex",
+    "shared_mutex", "shared_timed_mutex", "condition_variable",
+    "condition_variable_any", "thread", "jthread", "lock_guard",
+    "unique_lock", "scoped_lock", "shared_lock"}
+RAW_SYNC_HEADERS = {"mutex", "thread", "condition_variable", "shared_mutex"}
+
+METRIC_MACROS = {"HAMMING_METRIC_ADD", "HAMMING_METRIC_SET",
+                 "HAMMING_METRIC_OBSERVE"}
+# ++/--, compound and simple assignment; the comparisons ==, <=, >=, !=
+# are tokens of their own.
+SIDE_EFFECT_OPS = {"++", "--", "=", "+=", "-=", "*=", "/=", "%=", "&=",
+                   "|=", "^=", "<<=", ">>="}
+
+METRIC_NAMES_HEADER = "src/observability/metric_names.h"
+METRIC_KINDS = {"Counter", "Gauge", "Histogram"}
+# At least two dot-separated [a-z0-9_] segments, starting with a letter
+# ("serving.queue_wait_us").
+METRIC_NAME_FORMAT = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
+
+
+class Sources:
+    """The token passes' view of a tree: the C++ files under any of its
+    roots, each read and tokenized once (directive bodies are lexed on
+    demand). Files the program already parsed reuse their tokens."""
+
+    def __init__(self, root, prog=None):
+        self.root = root
+        self._lexed = {p: (ir.toks, ir.includes, ir.directives)
+                       for p, ir in (prog.files.items() if prog else ())}
+
+    def walk(self, roots):
+        for sub in roots:
+            for dirpath, _, names in os.walk(os.path.join(self.root, sub)):
+                for name in sorted(names):
+                    if name.endswith(SRC_EXTS):
+                        yield os.path.relpath(os.path.join(dirpath, name),
+                                              self.root).replace(os.sep, "/")
+
+    def lex(self, path):
+        """(tokens, includes, directives) of a root-relative path."""
+        if path not in self._lexed:
+            with open(os.path.join(self.root, path), encoding="utf-8") as f:
+                toks, _, includes, directives = tokenize(f.read())
+            self._lexed[path] = (toks, includes, directives)
+        return self._lexed[path]
+
+    def streams(self, path):
+        """The file's token stream, then one per directive body (#define,
+        #if, ...), for the passes a macro must not hide a construct from."""
+        toks, _, directives = self.lex(path)
+        return [toks] + [tokenize(body, line, in_directive=True)[0]
+                         for line, body in directives]
+
+    def quoted_includes(self, path):
+        return [(line, inc) for line, inc, angled in self.lex(path)[1]
+                if not angled]
+
+
+def run_layering(src: Sources, findings: list):
+    graph = {}  # src-relative file -> src-relative includes
+    for path in src.walk(["src"]):
+        r = path[len("src/"):]
+        from_dir = r.split("/")[0]
+        if from_dir not in ALLOWED_EDGES:
+            findings.append(Finding(
+                "layering", path, 1,
+                f"directory src/{from_dir} is not in the layering table; "
+                "add it to ALLOWED_EDGES in tools/analyze/analyze.py"))
+            continue
+        graph[r] = set()
+        allowed = ALLOWED_EDGES[from_dir] | FILE_EDGE_EXCEPTIONS.get(r, set())
+        for line, inc in src.quoted_includes(path):
+            to_dir = inc.split("/")[0]
+            if to_dir not in ALLOWED_EDGES:
+                continue  # not a src/ include (gtest, etc.)
+            graph[r].add(inc)
+            if to_dir != from_dir and to_dir not in allowed:
+                findings.append(Finding(
+                    "layering", path, line,
+                    f'include "{inc}" creates edge {from_dir} -> {to_dir}, '
+                    "which is not in the layering DAG"))
+    for r in sorted(set(graph) - set(FILE_EDGE_EXCEPTIONS)):
+        from_dir = r.split("/")[0]
+        for sources, targets in NO_REACH:
+            if from_dir not in sources:
+                continue
+            hit = _reached_dirs(graph, r) & targets
+            if hit:
+                findings.append(Finding(
+                    "layering", "src/" + r, 1,
+                    f"{from_dir} transitively reaches "
+                    f"{', '.join(sorted(hit))} (forbidden layer)"))
+
+
+def _reached_dirs(graph, start):
+    """Directories `start` reaches over the include graph. A path through
+    a FILE_EDGE_EXCEPTIONS file is already blessed and is not followed."""
+    dirs, seen, stack = set(), {start}, [start]
+    while stack:
+        for inc in graph.get(stack.pop(), ()):
+            dirs.add(inc.split("/")[0])
+            if inc not in seen and inc not in FILE_EDGE_EXCEPTIONS:
+                seen.add(inc)
+                stack.append(inc)
+    return dirs
+
+
+def run_orphan_modules(src: Sources, findings: list):
+    includers = {}  # include path (relative to src/) -> including files
+    for path in src.walk(LIVE_INCLUDER_ROOTS):
+        for _, inc in src.quoted_includes(path):
+            includers.setdefault(inc, set()).add(path)
+    for path in src.walk(["src"]):
+        if not path.endswith(".h"):
+            continue
+        own_cc = path[:-len(".h")] + ".cc"
+        if not includers.get(path[len("src/"):], set()) - {own_cc}:
+            findings.append(Finding(
+                "orphan-module", path, 1,
+                "no file under src/, bench/, perfbench/ or examples/ "
+                "includes this header except its own .cc (tests/ and "
+                "fuzz/ do not count) — give the module a caller or "
+                "delete it"))
+
+
+def run_raw_sync(src: Sources, findings: list):
+    for path in src.walk(CODE_ROOTS):
+        if path.startswith("src/common/"):
+            continue  # the one directory allowed to touch std primitives
+        raw = {}  # line -> first raw construct on it
+        for line, inc, angled in src.lex(path)[1]:
+            if angled and inc in RAW_SYNC_HEADERS:
+                raw.setdefault(line, f"#include <{inc}>")
+        for toks in src.streams(path):
+            for k, t in enumerate(toks[:-2]):
+                if t.text == "std" and toks[k + 1].text == "::" and \
+                        toks[k + 2].text in RAW_SYNC_NAMES:
+                    raw.setdefault(t.line, "std::" + toks[k + 2].text)
+        for line, what in sorted(raw.items()):
+            findings.append(Finding(
+                "raw-sync", path, line,
+                f"raw '{what}' outside src/common/ — use the annotated "
+                "wrappers in common/sync.h (Mutex/MutexLock/CondVar/"
+                "Thread)"))
+
+
+def run_metric_args(src: Sources, findings: list):
+    for path in src.walk(CODE_ROOTS):
+        toks = src.lex(path)[0]  # a macro's own definition is no call
+        for k, t in enumerate(toks[:-1]):
+            if t.text not in METRIC_MACROS or toks[k + 1].text != "(":
+                continue
+            args = _top_level_args(toks, k + 1)
+            if args is None:
+                findings.append(Finding(
+                    "metric-args", path, t.line,
+                    "unbalanced parentheses in HAMMING_METRIC_ call"))
+                continue
+            for arg in args:
+                if any(a.text in SIDE_EFFECT_OPS for a in arg):
+                    findings.append(Finding(
+                        "metric-args", path, t.line,
+                        "side-effecting expression "
+                        f"'{' '.join(a.text for a in arg)}' in "
+                        "HAMMING_METRIC_ argument — it vanishes under "
+                        "-DHAMMING_METRICS_DISABLED"))
+
+
+def _top_level_args(toks, lparen):
+    """toks[lparen] is '('; returns the token list of each top-level
+    argument, or None if the brackets never balance."""
+    depth, args, cur = 0, [], []
+    for k in range(lparen, len(toks)):
+        x = toks[k].text
+        if x in ("(", "[", "{"):
+            depth += 1
+            if depth == 1:
+                continue
+        elif x in (")", "]", "}"):
+            depth -= 1
+            if depth == 0:
+                return args + [cur]
+        elif x == "," and depth == 1:
+            args.append(cur)
+            cur = []
+            continue
+        cur.append(toks[k])
+    return None
+
+
+def run_metric_names(src: Sources, findings: list):
+    declared = None
+    if os.path.isfile(os.path.join(src.root, METRIC_NAMES_HEADER)):
+        declared = {t.text[1:-1]
+                    for toks in src.streams(METRIC_NAMES_HEADER)
+                    for t in toks if t.kind == "str"}
+    for path in src.walk(["src"]):
+        if path == METRIC_NAMES_HEADER:
+            continue
+        for toks in src.streams(path):
+            for k, t in enumerate(toks[:-3]):
+                # A literal right after the paren; dynamic names (a prefix
+                # expression, a variable) never match and are exempt.
+                if t.text not in METRIC_KINDS or toks[k + 1].text != "(" or \
+                        toks[k + 2].kind != "str" or toks[k + 3].text != ")":
+                    continue
+                call = f"{t.text}({toks[k + 2].text})"
+                name = toks[k + 2].text[1:-1]
+                if not METRIC_NAME_FORMAT.match(name):
+                    problem = ("— metric names are lowercase dotted "
+                               'identifiers ("family.metric_name")')
+                elif declared is None:
+                    problem = (f"but {METRIC_NAMES_HEADER} is missing — "
+                               "literal metric names must be declared "
+                               "there")
+                elif name not in declared:
+                    problem = (f"is not declared in {METRIC_NAMES_HEADER} "
+                               "— add the constant there (one place to "
+                               "see the whole metric namespace)")
+                else:
+                    continue
+                findings.append(Finding("metric-name", path, t.line,
+                                        f"{call} {problem}"))
+
+
+def run_token_passes(src: Sources, findings: list):
+    run_layering(src, findings)
+    run_orphan_modules(src, findings)
+    run_raw_sync(src, findings)
+    run_metric_args(src, findings)
+    run_metric_names(src, findings)
+
+
+# --------------------------------------------------------------------------
+# Build passes: kernel-tu, build-coverage
+# --------------------------------------------------------------------------
+
+# One load of a build directory: {real source path: compile command} from
+# compile_commands.json, and the CMake cache.
+Build = collections.namedtuple("Build", "commands cache")
+
+# SIMD translation units: the ISA flags their compile command must carry,
+# the CMake cache probes that may gate them out (a compiler without the
+# flags), and the option that may switch the tier off.
+KERNEL_TU_FLAGS = {
+    "src/kernels/hamming_kernels_avx2.cc": {
+        "flags": ["-mavx2"],
+        "probe_vars": ["HAMMING_CXX_HAS_MAVX2"],
+        "option_var": None,
+    },
+    "src/kernels/hamming_kernels_avx512.cc": {
+        "flags": ["-mavx512f", "-mavx512bw", "-mavx512vpopcntdq"],
+        "probe_vars": ["HAMMING_CXX_HAS_MAVX512F",
+                       "HAMMING_CXX_HAS_MAVX512BW",
+                       "HAMMING_CXX_HAS_MAVX512VPOPCNTDQ"],
+        "option_var": "HAMMING_AVX512",
+    },
+}
+
+_CMAKE_FALSE = {"", "0", "off", "no", "false", "n", "ignore", "notfound"}
+
+
+def load_build(build_dir):
+    cc_path = os.path.join(build_dir, "compile_commands.json")
+    if not os.path.isfile(cc_path):
+        raise RuntimeError(
+            f"{cc_path} not found — configure the build first "
+            "(cmake -B build -S .); CMAKE_EXPORT_COMPILE_COMMANDS is "
+            "forced on by the root CMakeLists")
+    with open(cc_path, encoding="utf-8") as f:
+        commands = {os.path.realpath(e["file"]):
+                    e.get("command") or " ".join(e.get("arguments", []))
+                    for e in json.load(f)}
+    cache = {}
+    cache_path = os.path.join(build_dir, "CMakeCache.txt")
+    if os.path.isfile(cache_path):
+        with open(cache_path, encoding="utf-8") as f:
+            for line in f:
+                m = re.match(r"([^:=]+):[^=]*=(.*)", line.strip())
+                if m and not line.startswith(("#", "//")):
+                    cache[m.group(1)] = m.group(2)
+    return Build(commands, cache)
+
+
+def _cmake_truthy(value) -> bool:
+    v = (value or "").strip().lower()
+    return not (v in _CMAKE_FALSE or v.endswith("-notfound"))
+
+
+def run_kernel_tus(src: Sources, build: Build, findings: list):
+    for tu, spec in sorted(KERNEL_TU_FLAGS.items()):
+        path = os.path.join(src.root, tu)
+        if not os.path.isfile(path):
+            continue  # tier not present in this tree
+        cmd = build.commands.get(os.path.realpath(path))
+        if cmd is not None:
+            for flag in spec["flags"]:
+                if not re.search(re.escape(flag) + r"(\s|$)", cmd):
+                    findings.append(Finding(
+                        "kernel-tu", tu, 1,
+                        f"compiled without {flag} — the per-TU "
+                        "COMPILE_OPTIONS in src/CMakeLists.txt lost its "
+                        "ISA flag"))
+            continue
+        option = spec["option_var"]
+        if option and build.cache.get(option, "").strip().upper() == "OFF":
+            continue  # deliberately disabled tier
+        if not all(_cmake_truthy(build.cache.get(v))
+                   for v in spec["probe_vars"]):
+            continue  # compiler cannot build this tier
+        findings.append(Finding(
+            "kernel-tu", tu, 1,
+            "SIMD TU missing from compile_commands.json although its "
+            "compiler-flag probes passed — the build silently dropped "
+            "this kernel tier"))
+
+
+def run_build_coverage(src: Sources, build: Build, findings: list):
+    for path in src.walk(["src"]):
+        # [kernel-tu] owns the SIMD TUs, which a gated-off tier omits.
+        if not path.endswith((".cc", ".cpp")) or path in KERNEL_TU_FLAGS:
+            continue
+        if os.path.realpath(os.path.join(src.root, path)) \
+                not in build.commands:
+            findings.append(Finding(
+                "build-coverage", path, 1,
+                "translation unit is not in compile_commands.json — "
+                "orphaned files dodge every compiled check"))
+
+
+def run_build_passes(src: Sources, build: Build, findings: list):
+    run_kernel_tus(src, build, findings)
+    run_build_coverage(src, build, findings)
+
+
+# --------------------------------------------------------------------------
 # Baseline
 # --------------------------------------------------------------------------
 
@@ -751,32 +1169,18 @@ def build_program(root, files, spec, verbose=False):
     return prog
 
 
-def collect_files(root, build_dir, spec):
-    cc_path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(cc_path):
-        raise RuntimeError(
-            f"{cc_path} not found — configure the build first "
-            "(cmake -B build -S .); CMAKE_EXPORT_COMPILE_COMMANDS is "
-            "forced on by the root CMakeLists")
-    with open(cc_path, encoding="utf-8") as f:
-        entries = json.load(f)
+def collect_files(root, build: Build, spec):
     roots = set(spec.roots) | set(spec.discard_roots)
     files = set()
-    for e in entries:
-        path = os.path.realpath(e["file"])
+    for path in build.commands:
         rel = os.path.relpath(path, root).replace(os.sep, "/")
         if rel.startswith(".."):
             continue
         if any(rel.startswith(r.rstrip("/") + "/") for r in roots):
             files.add(path)
     # headers are not TUs; pull in every header under the scoped roots
-    for r in roots:
-        base = os.path.join(root, r)
-        for dirpath, _, names in os.walk(base):
-            for n in names:
-                if n.endswith(".h"):
-                    files.add(os.path.realpath(
-                        os.path.join(dirpath, n)))
+    files |= {os.path.realpath(os.path.join(root, p))
+              for p in Sources(root).walk(sorted(roots)) if p.endswith(".h")}
     return sorted(files)
 
 
@@ -828,11 +1232,43 @@ def dump_edges(an):
 # --------------------------------------------------------------------------
 
 
+# Build-pass scenarios over selftest/tree/: every .cc of the tree is
+# compiled with -O2 plus its ISA flags, then the overrides replace a TU's
+# flags (None drops it from the build) under the given CMake cache. Each
+# scenario must report exactly the listed (rule, path) findings.
+_AVX2, _AVX512 = sorted(KERNEL_TU_FLAGS)
+_PROBES = {v: "1" for tu in KERNEL_TU_FLAGS.values()
+           for v in tu["probe_vars"]}
+_AUTO = {**_PROBES, "HAMMING_AVX512": "AUTO"}
+BUILD_SCENARIOS = [
+    ("every TU built on its flags", {}, _AUTO, set()),
+    ("AVX-512 tier switched off", {_AVX512: None},
+     {**_PROBES, "HAMMING_AVX512": "OFF"}, set()),
+    ("AVX-512 flag probe failed", {_AVX512: None},
+     {**_AUTO, "HAMMING_CXX_HAS_MAVX512F": "0"}, set()),
+    ("a tests/ TU outside the build", {"tests/test_orphan_module.cc": None},
+     _AUTO, set()),
+    ("AVX2 TU lost -mavx2", {_AVX2: "-O2"}, _AUTO, {("kernel-tu", _AVX2)}),
+    ("AVX-512 TU dropped although its probes passed", {_AVX512: None},
+     _AUTO, {("kernel-tu", _AVX512)}),
+    ("a src/ TU outside the build", {"src/ops/live_module.cc": None},
+     _AUTO, {("build-coverage", "src/ops/live_module.cc")}),
+]
+
+
+def _scenario_build(tree, overrides, cache):
+    flags = {p: " ".join(["-O2"] + KERNEL_TU_FLAGS.get(p, {}).get("flags", []))
+             for p in Sources(tree).walk(["src", "tests", "bench"])
+             if p.endswith(".cc")}
+    flags.update(overrides)
+    return Build({os.path.realpath(os.path.join(tree, p)): f"c++ {f} -c {p}"
+                  for p, f in flags.items() if f is not None}, cache)
+
+
 def self_test(tool_dir, repo_root):
     """Negative tests: every pass must fire on its seeded fixture and
     stay silent on the clean ones; the baseline machinery must suppress,
     expire, and flag staleness correctly."""
-    import tempfile
     st_dir = os.path.join(tool_dir, "selftest")
     spec = load_spec(os.path.join(st_dir, "spec.toml"))
     files = sorted(
@@ -855,6 +1291,9 @@ def self_test(tool_dir, repo_root):
         prog.add_file(ir)
     prog.link()
     _, findings = run_passes(prog, spec, st_dir)
+    # the token passes read selftest/tree/, a miniature repository
+    tree = os.path.join(st_dir, "tree")
+    run_token_passes(Sources(tree), findings)
 
     expected = {
         # file -> list of (rule, message substring) that MUST fire
@@ -894,6 +1333,35 @@ def self_test(tool_dir, repo_root):
             ("discard", "justifying comment")],
         "src/test_analyze_fixtures.cc": [
             ("lock-order", "undeclared lock-order edge")],
+        # selftest/tree/ findings also name the line they must be on
+        "src/kernels/bad_layer.h": [
+            ("layering", "edge kernels -> mapreduce", 3),
+            ("layering", "transitively reaches mapreduce", 1)],
+        "src/kernels/bad_layer_late.cc": [
+            ("layering", "edge kernels -> mapreduce", 5)],
+        "src/observability/bad_leaf.cc": [
+            ("layering", "edge observability -> storage", 2)],
+        "src/knn/bad_kernels_edge.cc": [
+            ("layering", "edge knn -> kernels", 2)],
+        "src/index/bad_sync.cc": [
+            ("raw-sync", "'#include <mutex>'", 2),
+            ("raw-sync", "'std::mutex'", 3)],
+        "src/index/bad_sync_macro.cc": [
+            ("raw-sync", "'std::lock_guard'", 3),
+            ("raw-sync", "'std::mutex'", 4),
+            ("raw-sync", "'std::condition_variable_any'", 6)],
+        "src/ops/bad_metric.cc": [
+            ("metric-args", "'++ x'", 2)],
+        "src/ops/bad_metric2.cc": [
+            ("metric-args", "'x += 2'", 2)],
+        "src/ops/bad_metric_name.cc": [
+            ("metric-name", "lowercase dotted identifiers", 2)],
+        "src/ops/bad_metric_name2.cc": [
+            ("metric-name", "is not declared", 2)],
+        "src/ops/bad_metric_macro.cc": [
+            ("metric-name", "lowercase dotted identifiers", 2)],
+        "src/ops/orphan_module.h": [
+            ("orphan-module", "give the module a caller", 1)],
     }
     clean = {
         "src/good_scoped_sequential.cc",
@@ -902,6 +1370,21 @@ def self_test(tool_dir, repo_root):
         "src/good_pin_leaf.cc",
         "src/good_discard.cc",
         "src/support.h",
+        "src/ops/orphan_module.cc",
+        "tests/test_orphan_module.cc",
+        "src/kernels/good_layer.h",
+        "src/index/good_sync.cc",
+        "src/ops/good_metric.cc",
+        "src/ops/good_metric_name.cc",
+        "src/observability/metric_names.h",
+        "src/ops/live_module.h",
+        "src/ops/live_module.cc",
+        "bench/bench_live_module.cc",
+        "src/code/binary_code.h",
+        "src/mapreduce/job.h",
+        "src/storage/file_io.h",
+        _AVX2,
+        _AVX512,
     }
     failures = []
     by_file = {}
@@ -909,12 +1392,13 @@ def self_test(tool_dir, repo_root):
         by_file.setdefault(f.path, []).append(f)
     for path, wants in expected.items():
         got = by_file.get(path, [])
-        for rule, frag in wants:
-            if not any(g.rule == rule and frag in g.message
-                       for g in got):
+        for rule, frag, *line in wants:
+            if not any(g.rule == rule and frag in g.message and
+                       line in ([], [g.line]) for g in got):
                 failures.append(
                     f"{path}: expected a [{rule}] finding containing "
-                    f"'{frag}'; got: " +
+                    f"'{frag}'" + (f" on line {line[0]}" if line else "") +
+                    "; got: " +
                     ("; ".join(str(g) for g in got) or "nothing"))
     for path in clean:
         extra = [g for g in by_file.get(path, [])]
@@ -976,6 +1460,17 @@ def self_test(tool_dir, repo_root):
                        for f in r):
                 failures.append("baseline: stale entry did not fail")
 
+    for what, overrides, cache, want in BUILD_SCENARIOS:
+        got = []
+        run_build_passes(Sources(tree), _scenario_build(tree, overrides,
+                                                        cache), got)
+        findings += got
+        if {(f.rule, f.path) for f in got} != want:
+            failures.append(
+                f"build scenario '{what}': expected "
+                f"{sorted(want) or 'nothing'}, got: " +
+                ("; ".join(str(g) for g in got) or "nothing"))
+
     if failures:
         print("analyze --self-test FAILED:", file=sys.stderr)
         for f in failures:
@@ -984,7 +1479,8 @@ def self_test(tool_dir, repo_root):
     n_rules = len({f.rule for f in findings})
     print(f"analyze self-test OK: {len(expected)} seeded fixtures "
           f"fired across {n_rules} rules, {len(clean)} clean fixtures "
-          "silent, baseline expiry/staleness verified")
+          f"silent, {len(BUILD_SCENARIOS)} build scenarios held, "
+          "baseline expiry/staleness verified")
     return 0
 
 
@@ -1027,9 +1523,11 @@ def main(argv):
         print(f"analyze: bad spec {spec_path}: {e}", file=sys.stderr)
         return 2
     try:
-        files = collect_files(
-            root, os.path.join(root, args.build_dir), spec)
-        prog = build_program(root, files, spec, verbose=args.verbose)
+        if not os.path.isdir(os.path.join(root, "src")):
+            raise RuntimeError(f"{root} has no src/ directory")
+        build = load_build(os.path.join(root, args.build_dir))
+        prog = build_program(root, collect_files(root, build, spec), spec,
+                             verbose=args.verbose)
         an, findings = run_passes(prog, spec, root)
     except RuntimeError as e:
         print(f"analyze: {e}", file=sys.stderr)
@@ -1040,12 +1538,15 @@ def main(argv):
     if args.dump_edges:
         dump_edges(an)
         return 0
+    src = Sources(root, prog)
+    run_token_passes(src, findings)
+    run_build_passes(src, build, findings)
     findings = apply_baseline(findings, baseline_path)
     hard = [f for f in findings if not f.baselined]
     soft = [f for f in findings if f.baselined]
     for f in soft:
         print(f"note (baselined): {f}")
-    for f in sorted(hard, key=lambda f: (f.path, f.line)):
+    for f in sorted(hard, key=lambda f: (f.path, f.line, f.rule)):
         print(f)
     n_fn = sum(1 for f in prog.functions if f.has_body)
     if hard:

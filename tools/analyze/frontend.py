@@ -1,9 +1,12 @@
-"""C++ micro-frontend for the semantic concurrency analyzer.
+"""C++ micro-frontend for the repository checker.
 
-Produces the IR consumed by tools/analyze/analyze.py: per-function event
-streams (lock acquisitions, releases, condition-variable waits, calls,
-epoch pins, scope boundaries) plus class/member/param type maps used to
-resolve lock identities and call receivers.
+The one place tools/analyze/analyze.py reads C++ text.  tokenize() yields
+the token stream, #include list and directive bodies the token passes
+read; the parser builds on it the IR of the semantic passes:
+per-function event streams (lock acquisitions, releases,
+condition-variable waits, calls, epoch pins, scope boundaries) plus
+class/member/param type maps used to resolve lock identities and call
+receivers.
 
 The frontend is a self-contained tokenizer + structural parser, python3
 stdlib only.  It is not a C++ parser; it is a micro-frontend tuned to
@@ -69,6 +72,7 @@ _WRAPPERS = {"shared_ptr", "unique_ptr", "weak_ptr", "vector", "deque",
 _MAPLIKE = {"map", "unordered_map"}
 
 _MACRO_RE = re.compile(r"^[A-Z][A-Z0-9_]*[A-Z0-9]$")
+_INCLUDE_RE = re.compile(r'#[ \t]*include[ \t]*([<"])([^<>"\n]+)[>"]')
 
 
 class Tok:
@@ -83,13 +87,20 @@ class Tok:
         return f"{self.text}@{self.line}"
 
 
-def tokenize(text: str):
-    """Returns (tokens, comment_lines).  Comments and preprocessor
-    directives are dropped; comment_lines records every source line that
-    carries (part of) a comment, for justification checks."""
+def tokenize(text: str, line: int = 1, in_directive: bool = False):
+    """Returns (tokens, comment_lines, includes, directives).  Comments
+    and preprocessor directives are dropped from the token stream;
+    comment_lines records every source line that carries (part of) a
+    comment, for justification checks.  includes lists each #include as
+    (line, path, angled); directives lists every other directive as
+    (line, text after its '#'), for the passes that read macro bodies:
+    tokenize(body, line, in_directive=True) lexes one, with '#' an
+    operator (stringizing, pasting) rather than a new directive."""
     toks: list[Tok] = []
     comment_lines: set[int] = set()
-    i, n, line = 0, len(text), 1
+    includes: list[tuple[int, str, bool]] = []
+    directives: list[tuple[int, str]] = []
+    i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c == "\n":
@@ -114,8 +125,9 @@ def tokenize(text: str):
             line += seg.count("\n")
             i = j + 2
             continue
-        if c == "#":
+        if c == "#" and not in_directive:
             # Preprocessor directive (with continuations).
+            start, at = i, line
             while i < n:
                 j = text.find("\n", i)
                 if j < 0:
@@ -130,6 +142,11 @@ def tokenize(text: str):
                     continue
                 i = j  # newline handled by main loop
                 break
+            m = _INCLUDE_RE.match(text, start)
+            if m:
+                includes.append((at, m.group(2), m.group(1) == "<"))
+            else:
+                directives.append((at, text[start + 1:i]))
             continue
         if c == "R" and text.startswith('R"', i):
             m = re.match(r'R"([^()\\\s]{0,16})\(', text[i:])
@@ -154,6 +171,9 @@ def tokenize(text: str):
                 j += 1
             toks.append(Tok("str" if c == '"' else "chr", text[i:j + 1],
                             line))
+            # A backslash-newline inside the literal, or the newline that
+            # ends an unterminated one, still ends a source line.
+            line += text.count("\n", i, j + 1)
             i = j + 1
             continue
         if c.isalpha() or c == "_":
@@ -185,7 +205,7 @@ def tokenize(text: str):
             else:
                 toks.append(Tok("op", c, line))
                 i += 1
-    return toks, comment_lines
+    return toks, comment_lines, includes, directives
 
 
 # --------------------------------------------------------------------------
@@ -294,6 +314,8 @@ class FileIR:
         self.path = path
         self.toks: list[Tok] = []
         self.comment_lines: set[int] = set()
+        self.includes: list[tuple[int, str, bool]] = []
+        self.directives: list[tuple[int, str]] = []
         self.functions: list[FunctionInfo] = []
         self.classes: dict[str, ClassInfo] = {}
         self.aliases: dict[str, str] = {}
@@ -390,7 +412,8 @@ class Parser:
     def __init__(self, path: str, text: str):
         self.path = path
         self.ir = FileIR(path)
-        self.toks, self.ir.comment_lines = tokenize(text)
+        (self.toks, self.ir.comment_lines, self.ir.includes,
+         self.ir.directives) = tokenize(text)
         self.ir.toks = self.toks
         self.i = 0
         self.stack: list[dict] = []

@@ -1,0 +1,1 @@
+#include "ops/orphan_module.h"
