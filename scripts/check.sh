@@ -30,8 +30,11 @@
 # carry the host block every bench writes (cores, CPU model, kernel tier,
 # compiler, build type), every latency row must carry ordered
 # p50/p99/p999, each config must report a positive max-sustainable rate,
-# and the batched/unbatched speedup summary must be present. The smoke run also drives the mixed
-# insert/delete/query churn workload against a ConcurrentHAIndex, and
+# and the batched/unbatched speedup summary must be present. Every
+# closed-loop, open-loop and churn row must account for each request it
+# attempted: none failed, and completed + rejected == attempted. The
+# smoke run also drives the mixed insert/delete/query churn workload
+# against a ConcurrentHAIndex, and
 # the validator requires the churn row: a positive mutation rate,
 # published epochs, and ordered percentiles, proving reads-during-writes
 # actually ran. The TSan pass also runs the Serving* suites (worker
@@ -165,6 +168,11 @@ for r in latency_rows:
 sustainable = [r for r in rows if r["section"] == "max_sustainable"]
 assert len(sustainable) == 2, "expected one max_sustainable row per engine config"
 assert all(r["max_sustainable_qps"] > 0 for r in sustainable), "no sustainable rate found"
+for r in rows:
+    if r["section"] in ("closed_loop", "open_loop", "churn"):
+        assert r["failed"] == 0, f"requests failed: {r}"
+        assert r["completed"] + r["rejected"] == r["attempted"], \
+            f"requests unaccounted for: {r}"
 speedup = [r for r in rows if r["section"] == "summary"]
 assert speedup and "batched_over_unbatched" in speedup[0], "missing speedup summary"
 churn = [r for r in rows if r["section"] == "churn"]

@@ -24,8 +24,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "UnknownError";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "InvalidCode";
 }

@@ -22,8 +22,7 @@ enum class StatusCode : int {
   kIOError = 6,
   kExecutionError = 7,  // runtime failure inside a MapReduce job
   kUnknownError = 8,
-  kResourceExhausted = 9,   // admission control shed the request
-  kDeadlineExceeded = 10,   // request expired before (or during) service
+  kResourceExhausted = 9,  // admission control rejected the request
 };
 
 /// \brief Returns a human-readable name for a status code.
@@ -92,9 +91,6 @@ class [[nodiscard]] Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
 
   bool ok() const { return state_ == nullptr; }
   StatusCode code() const {
@@ -120,9 +116,6 @@ class [[nodiscard]] Status {
   }
   bool IsResourceExhausted() const {
     return code() == StatusCode::kResourceExhausted;
-  }
-  bool IsDeadlineExceeded() const {
-    return code() == StatusCode::kDeadlineExceeded;
   }
 
   /// \brief "OK" or "<CodeName>: <message>".

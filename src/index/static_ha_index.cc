@@ -12,6 +12,9 @@ Status StaticHAIndex::EnsureLayout(const BinaryCode& code) {
     if (opts_.segment_bits == 0 || opts_.segment_bits > 64) {
       return Status::InvalidArgument("segment_bits must be in [1, 64]");
     }
+    if (code.size() == 0) {
+      return Status::InvalidArgument("codes must have at least one bit");
+    }
     code_bits_ = code.size();
     std::size_t num_levels =
         (code_bits_ + opts_.segment_bits - 1) / opts_.segment_bits;
@@ -45,6 +48,7 @@ Status StaticHAIndex::Build(const std::vector<BinaryCode>& codes) {
   path_nodes_.clear();
   paths_.clear();
   id_to_row_.clear();
+  groups_.clear();
   vcodes_.Reset(0);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     HAMMING_RETURN_NOT_OK(Insert(static_cast<TupleId>(i), codes[i]));
@@ -57,24 +61,18 @@ Status StaticHAIndex::Insert(TupleId id, const BinaryCode& code) {
   if (id_to_row_.count(id)) {
     return Status::InvalidArgument("duplicate tuple id");
   }
+  const std::size_t row = paths_.size();
   for (auto& level : levels_) {
     uint64_t value = code.SubstringAsUint64(level.begin, level.len);
     path_nodes_.push_back(InternNode(&level, value));
   }
   HAMMING_RETURN_NOT_OK(vcodes_.Append(code));
-  id_to_row_[id] = paths_.size();
+  id_to_row_[id] = row;
   paths_.push_back(id);
-  groups_stale_ = true;
+  groups_.resize(levels_[0].node_values.size());
+  groups_[path_nodes_[row * levels_.size()]].push_back(
+      static_cast<uint32_t>(row));
   return Status::OK();
-}
-
-void StaticHAIndex::RefreshGroups() const {
-  groups_.assign(levels_.empty() ? 0 : levels_[0].node_values.size(), {});
-  const std::size_t nl = levels_.size();
-  for (std::size_t row = 0; row < paths_.size(); ++row) {
-    groups_[path_nodes_[row * nl]].push_back(static_cast<uint32_t>(row));
-  }
-  groups_stale_ = false;
 }
 
 Status StaticHAIndex::Delete(TupleId id, const BinaryCode& code) {
@@ -101,9 +99,17 @@ Status StaticHAIndex::Delete(TupleId id, const BinaryCode& code) {
       levels_[j].value_to_node.erase(levels_[j].node_values[node]);
     }
   }
-  // Swap-remove the path row.
+  // Swap-remove the row from its group, then the path row itself; the
+  // last row moves into the hole, so its group entry is renamed too.
   const std::size_t last = paths_.size() - 1;
+  auto& group = groups_[path_nodes_[row * nl]];
+  *std::find(group.begin(), group.end(), static_cast<uint32_t>(row)) =
+      group.back();
+  group.pop_back();
   if (row != last) {
+    auto& moved = groups_[path_nodes_[last * nl]];
+    *std::find(moved.begin(), moved.end(), static_cast<uint32_t>(last)) =
+        static_cast<uint32_t>(row);
     for (std::size_t j = 0; j < nl; ++j) {
       path_nodes_[row * nl + j] = path_nodes_[last * nl + j];
     }
@@ -114,15 +120,13 @@ Status StaticHAIndex::Delete(TupleId id, const BinaryCode& code) {
   paths_.pop_back();
   vcodes_.SwapRemove(row);  // same swap as the path row above
   id_to_row_.erase(it);
-  groups_stale_ = true;
   return Status::OK();
 }
 
 Status StaticHAIndex::SearchBatch(std::span<const QueryRequest> requests,
                                   std::span<QueryResponse> responses) const {
   HAMMING_RETURN_NOT_OK(CheckBatchSpans(requests, responses));
-  // One group refresh and one scratch allocation serve the whole batch.
-  if (groups_stale_ && !paths_.empty()) RefreshGroups();
+  // One scratch allocation serves the whole batch.
   SearchScratch scratch;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     QueryResponse& resp = responses[i];
@@ -206,7 +210,6 @@ Status StaticHAIndex::AnswerRange(const BinaryCode& query, std::size_t h,
   // Phase 2: walk rows grouped by their shared level-0 node — one check
   // discards a whole group (the node-sharing payoff) — then sum memoized
   // distances along each surviving path with early abandonment.
-  if (groups_stale_) RefreshGroups();
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     if (groups_[g].empty()) continue;
     std::size_t d0 = node_dist[0][g];

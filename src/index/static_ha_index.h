@@ -40,17 +40,12 @@ class StaticHAIndex final : public HammingIndex {
 
   /// \brief Native batch range plan. Each request still walks the shared
   /// node structure independently (the node distances depend on the
-  /// query), but the batch refreshes the row-group cache once, reuses
-  /// one set of per-level scratch buffers across the whole batch, and —
-  /// the payoff for the radius-expanding KnnBatch — reports the exact
-  /// path distance of every match (`has_distances`) whenever a request
-  /// takes the memoized path walk, since the walk sums that distance
-  /// anyway. Requests routed to the vertical plane scan (small h over a
-  /// large store) carry no distances.
-  /// \note The row-grouping cache is rebuilt lazily after updates; the
-  /// *first* batch following Build/Insert/Delete is not safe to race
-  /// with other batches. Issue one warming query before sharing the
-  /// index across threads.
+  /// query), but the batch reuses one set of per-level scratch buffers
+  /// across the whole batch, and — the payoff for the radius-expanding
+  /// KnnBatch — reports the exact path distance of every match
+  /// (`has_distances`) whenever a request takes the memoized path walk,
+  /// since the walk sums that distance anyway. Requests routed to the
+  /// vertical plane scan (small h over a large store) carry no distances.
   Status SearchBatch(std::span<const QueryRequest> requests,
                      std::span<QueryResponse> responses) const override;
 
@@ -88,9 +83,6 @@ class StaticHAIndex final : public HammingIndex {
   Status AnswerRange(const BinaryCode& query, std::size_t h,
                      SearchScratch* scratch, QueryResponse* resp) const;
 
-  /// Rebuilds groups_ (rows bucketed by their level-0 node) when stale.
-  void RefreshGroups() const;
-
   StaticHAIndexOptions opts_;
   std::size_t code_bits_ = 0;
   std::vector<Level> levels_;
@@ -99,10 +91,9 @@ class StaticHAIndex final : public HammingIndex {
   std::vector<TupleId> paths_;              // row -> tuple id
   std::unordered_map<TupleId, std::size_t> id_to_row_;
   // Search acceleration: rows grouped by level-0 node so one disqualified
-  // shared node skips its whole group (the Figure 2 sharing win). Lazily
-  // rebuilt after updates.
-  mutable std::vector<std::vector<uint32_t>> groups_;  // node0 -> rows
-  mutable bool groups_stale_ = true;
+  // shared node skips its whole group (the Figure 2 sharing win). Kept
+  // current by Insert/Delete, so searches only read it.
+  std::vector<std::vector<uint32_t>> groups_;  // node0 -> rows
   // Bit-plane sidecar of the full codes, row-aligned with paths_ (Delete
   // swap-removes both). The node walk has no CodeStore to reuse, so this
   // is the only full-code copy; selective queries on large stores scan it

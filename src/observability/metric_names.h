@@ -38,8 +38,6 @@ inline constexpr char kServingBatchSize[] = "serving.batch_size";
 inline constexpr char kServingAccepted[] = "serving.accepted";
 inline constexpr char kServingRejectedQueueFull[] =
     "serving.rejected_queue_full";
-inline constexpr char kServingRejectedLatency[] = "serving.rejected_latency";
-inline constexpr char kServingDeadlineExpired[] = "serving.deadline_expired";
 inline constexpr char kServingBatches[] = "serving.batches";
 inline constexpr char kServingQueueDepthPeak[] = "serving.queue_depth_peak";
 

@@ -2,8 +2,8 @@
 //
 // One served query crosses the engine as admit → queue → batch-form →
 // epoch-pin → kernel → respond; this header carries that span stack as
-// plain data (RequestSpan/RequestTrace) plus the two pieces that make
-// recording cheap enough for the hot path:
+// plain data (RequestSpan) plus the two pieces that make recording cheap
+// enough for the hot path:
 //
 //  * TraceSampler — hands out process-unique trace ids and decides,
 //    deterministically in (seed, id), whether a request is HEAD-sampled
@@ -58,13 +58,6 @@ struct RequestSpan {
   uint64_t DurationNs() const {
     return end_ns >= start_ns ? end_ns - start_ns : 0;
   }
-};
-
-/// \brief One request's identity + span stack, as exported.
-struct RequestTrace {
-  uint64_t trace_id = 0;
-  bool head_sampled = false;
-  std::vector<RequestSpan> spans;
 };
 
 struct TraceSamplerOptions {

@@ -36,8 +36,6 @@ void Tally(const ServeResult& r, double latency_us, LoadReport* report,
   if (r.response.status.ok()) {
     ++report->completed;
     latencies->push_back(latency_us);
-  } else if (r.response.status.IsDeadlineExceeded()) {
-    ++report->expired;
   } else {
     ++report->failed;
   }
@@ -83,8 +81,7 @@ LoadReport RunClosedLoop(QueryEngine* engine,
         for (std::size_t i = 0; i < queries_per_client; ++i) {
           ++mine.partial.attempted;
           obs::Stopwatch watch;
-          auto got = engine->Serve(DrawRequest(pool, workload, &rng),
-                                   /*index_id=*/0, workload.deadline);
+          auto got = engine->Serve(DrawRequest(pool, workload, &rng));
           if (!got.ok()) {
             // Admission rejection surfaces as the Serve status itself.
             if (got.status().IsResourceExhausted()) {
@@ -108,7 +105,6 @@ LoadReport RunClosedLoop(QueryEngine* engine,
     report.attempted += cr.partial.attempted;
     report.completed += cr.partial.completed;
     report.rejected += cr.partial.rejected;
-    report.expired += cr.partial.expired;
     report.failed += cr.partial.failed;
     all_latencies.insert(all_latencies.end(), cr.latencies_us.begin(),
                          cr.latencies_us.end());
@@ -152,12 +148,7 @@ LoadReport RunOpenLoop(QueryEngine* engine,
     const auto now = std::chrono::steady_clock::now();
     if (next_arrival > now) SleepFor(next_arrival - now);
     ++report.attempted;
-    std::chrono::steady_clock::time_point deadline{};
-    if (workload.deadline.count() > 0) {
-      deadline = next_arrival + workload.deadline;
-    }
-    auto got = engine->Submit(DrawRequest(pool, workload, &rng),
-                              /*index_id=*/0, deadline);
+    auto got = engine->Submit(DrawRequest(pool, workload, &rng));
     if (!got.ok()) {
       if (got.status().IsResourceExhausted()) {
         ++report.rejected;
@@ -204,7 +195,7 @@ ChurnReport RunChurn(QueryEngine* engine, ConcurrentHAIndex* index,
   struct WorkerResult {
     uint64_t inserts = 0;
     uint64_t deletes = 0;
-    LoadReport queries;  // attempted/completed/rejected/expired/failed
+    LoadReport queries;  // attempted/completed/rejected/failed
     std::vector<double> latencies_us;
   };
   std::vector<WorkerResult> per_worker(threads);
@@ -249,8 +240,7 @@ ChurnReport RunChurn(QueryEngine* engine, ConcurrentHAIndex* index,
           } else {
             ++mine.queries.attempted;
             obs::Stopwatch watch;
-            auto got = engine->Serve(DrawRequest(pool, opts.workload, &rng),
-                                     /*index_id=*/0, opts.workload.deadline);
+            auto got = engine->Serve(DrawRequest(pool, opts.workload, &rng));
             if (!got.ok()) {
               if (got.status().IsResourceExhausted()) {
                 ++mine.queries.rejected;
@@ -275,7 +265,6 @@ ChurnReport RunChurn(QueryEngine* engine, ConcurrentHAIndex* index,
     report.query_attempted += wr.queries.attempted;
     report.query_completed += wr.queries.completed;
     report.query_rejected += wr.queries.rejected;
-    report.query_expired += wr.queries.expired;
     report.query_failed += wr.queries.failed;
     all_latencies.insert(all_latencies.end(), wr.latencies_us.begin(),
                          wr.latencies_us.end());

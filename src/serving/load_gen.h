@@ -37,8 +37,6 @@ struct WorkloadOptions {
   std::size_t k = 8;
   double knn_fraction = 0.0;
   uint64_t seed = 42;
-  /// Per-request relative deadline; zero = none.
-  std::chrono::microseconds deadline{0};
 };
 
 /// \brief Exact latency percentiles over one run's completed requests.
@@ -60,7 +58,6 @@ struct LoadReport {
   uint64_t attempted = 0;  // submissions tried
   uint64_t completed = 0;  // served with OK status
   uint64_t rejected = 0;   // admission-control rejections
-  uint64_t expired = 0;    // completed with kDeadlineExceeded
   uint64_t failed = 0;     // any other non-OK completion
   double elapsed_seconds = 0.0;
   double achieved_qps = 0.0;  // completed / elapsed
@@ -99,7 +96,7 @@ struct ChurnOptions {
   double delete_fraction = 0.1;
   std::size_t threads = 4;
   std::size_t ops_per_thread = 2000;
-  /// Query shape + per-request deadline + seed.
+  /// Query shape + seed.
   WorkloadOptions workload;
 };
 
@@ -111,7 +108,6 @@ struct ChurnReport {
   uint64_t query_attempted = 0;
   uint64_t query_completed = 0;  // OK status
   uint64_t query_rejected = 0;   // admission control
-  uint64_t query_expired = 0;    // kDeadlineExceeded
   uint64_t query_failed = 0;     // any other non-OK
   double elapsed_seconds = 0.0;
   double query_qps = 0.0;             // completed / elapsed

@@ -38,21 +38,36 @@ TEST(Concurrency, ParallelSearchesOnSharedIndexAreConsistent) {
 }
 
 TEST(Concurrency, ParallelSearchesOnStaticIndex) {
-  // The SHA group cache is rebuilt lazily; force it before threading.
+  // The first searches after Build, Insert and Delete race each other
+  // with no warming query in between: updates keep the SHA row groups
+  // current, so a search only reads shared state.
   auto codes = RandomCodes(1000, 32, /*seed=*/5, /*clusters=*/8);
   StaticHAIndex index(StaticHAIndexOptions{8});
   ASSERT_TRUE(index.Build(codes).ok());
-  (void)testutil::Search(index, codes[0], 3);  // warm the lazy group cache
   LinearScanIndex truth;
   ASSERT_TRUE(truth.Build(codes).ok());
+  // The insert lands in the last row; deleting row 7 moves it there.
+  const BinaryCode extra = RandomCodes(1, 32, /*seed=*/6, /*clusters=*/8)[0];
+  ASSERT_TRUE(index.Insert(1000, extra).ok());
+  ASSERT_TRUE(truth.Insert(1000, extra).ok());
+  ASSERT_TRUE(index.Delete(7, codes[7]).ok());
+  ASSERT_TRUE(truth.Delete(7, codes[7]).ok());
 
-  ThreadPool pool(8);
+  // One task per pool thread, all released at once, so the first
+  // searches overlap.
+  constexpr std::size_t kThreads = 8;
+  ThreadPool pool(kThreads);
+  std::atomic<std::size_t> arrived{0};
   std::atomic<int> mismatches{0};
-  ParallelFor(&pool, 200, [&](std::size_t i) {
-    const auto& q = codes[(i * 37) % codes.size()];
-    auto got = testutil::Search(index, q, 3);
-    auto expect = testutil::Search(truth, q, 3);
-    if (!got.ok() || Sorted(*got) != Sorted(*expect)) ++mismatches;
+  ParallelFor(&pool, kThreads, [&](std::size_t t) {
+    ++arrived;
+    while (arrived.load() < kThreads) SleepFor(std::chrono::microseconds(10));
+    for (std::size_t i = t; i < 200; i += kThreads) {
+      const auto& q = codes[(i * 37) % codes.size()];
+      auto got = testutil::Search(index, q, 3);
+      auto expect = testutil::Search(truth, q, 3);
+      if (!got.ok() || Sorted(*got) != Sorted(*expect)) ++mismatches;
+    }
   });
   EXPECT_EQ(mismatches.load(), 0);
 }

@@ -1,8 +1,8 @@
 // Serving-layer tests: batcher coalescing must be invisible (responses
 // byte-identical to sequential execution), admission control must reject
-// with the typed statuses, deadlines must expire, shutdown must drain —
-// and the whole thing must hold up under a TSan-covered mixed load over
-// shared indexes (the Serving* filter in scripts/check.sh's TSan stage).
+// with the typed status, shutdown must drain — and the whole thing must
+// hold up under a TSan-covered mixed load over a shared index (the
+// Serving* filter in scripts/check.sh's TSan stage).
 #include "serving/query_engine.h"
 
 #include <gtest/gtest.h>
@@ -20,10 +20,7 @@ namespace {
 
 using testutil::RandomCodes;
 
-// Shared dataset + indexes for engine tests. StaticHA is excluded on
-// purpose: its lazily rebuilt group cache makes the *first* post-build
-// Search thread-unsafe, which is a documented index-level caveat, not a
-// serving-layer one.
+// Shared dataset + indexes for engine tests; each engine serves one.
 struct ServingFixture {
   std::vector<BinaryCode> codes;
   LinearScanIndex linear;
@@ -35,10 +32,6 @@ struct ServingFixture {
     EXPECT_TRUE(linear.Build(codes).ok());
     EXPECT_TRUE(dha.Build(codes).ok());
   }
-
-  std::vector<const HammingIndex*> Indexes() const {
-    return {&linear, &dha};
-  }
 };
 
 TEST(ServingBatch, CoalescedRangeResultsByteIdenticalToSequential) {
@@ -46,17 +39,17 @@ TEST(ServingBatch, CoalescedRangeResultsByteIdenticalToSequential) {
   QueryEngineOptions opts;
   opts.num_workers = 1;  // one worker => maximal coalescing pressure
   opts.max_batch = 64;
-  opts.batch_linger = std::chrono::microseconds(20000);
-  QueryEngine engine(fx.Indexes(), opts);
-  ASSERT_TRUE(engine.Start().ok());
+  QueryEngine engine(&fx.linear, opts);
 
+  // Queued before Start, so the worker finds them all waiting.
   auto queries = RandomCodes(64, 64, /*seed=*/21, /*clusters=*/8);
   std::vector<std::future<ServeResult>> futures;
   for (const auto& q : queries) {
-    auto got = engine.Submit(QueryRequest::Range(q, 3), /*index_id=*/0);
+    auto got = engine.Submit(QueryRequest::Range(q, 3));
     ASSERT_TRUE(got.ok()) << got.status();
     futures.push_back(std::move(*got));
   }
+  ASSERT_TRUE(engine.Start().ok());
   for (std::size_t i = 0; i < futures.size(); ++i) {
     ServeResult r = futures[i].get();
     ASSERT_TRUE(r.response.status.ok()) << r.response.status;
@@ -69,11 +62,14 @@ TEST(ServingBatch, CoalescedRangeResultsByteIdenticalToSequential) {
     EXPECT_EQ(r.response.has_distances, ref.has_distances);
     EXPECT_EQ(r.response.distances, ref.distances) << "query " << i;
     EXPECT_GE(r.batch_size, 1u);
+    // Queue wait is stamped into the per-query stats.
+    EXPECT_EQ(r.response.stats.serving_queue_nanos,
+              static_cast<uint64_t>(r.queue_wait.count()));
   }
   ServingCounters c = engine.counters();
   EXPECT_EQ(c.accepted, queries.size());
   EXPECT_EQ(c.batched_queries, queries.size());
-  // The single lingering worker must have coalesced: strictly fewer
+  // The single worker must have coalesced the backlog: strictly fewer
   // index calls than queries.
   EXPECT_LT(c.batches, queries.size());
   engine.Shutdown();
@@ -84,17 +80,17 @@ TEST(ServingBatch, KnnCoalescingMatchesScalar) {
   QueryEngineOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 16;
-  opts.batch_linger = std::chrono::microseconds(5000);
-  QueryEngine engine(fx.Indexes(), opts);
-  ASSERT_TRUE(engine.Start().ok());
+  QueryEngine engine(&fx.dha, opts);
 
+  // Queued before Start, so the workers coalesce full batches.
   auto queries = RandomCodes(32, 64, /*seed=*/33, /*clusters=*/8);
   std::vector<std::future<ServeResult>> futures;
   for (const auto& q : queries) {
-    auto got = engine.Submit(QueryRequest::Knn(q, 7), /*index_id=*/1);
+    auto got = engine.Submit(QueryRequest::Knn(q, 7));
     ASSERT_TRUE(got.ok()) << got.status();
     futures.push_back(std::move(*got));
   }
+  ASSERT_TRUE(engine.Start().ok());
   for (std::size_t i = 0; i < futures.size(); ++i) {
     ServeResult r = futures[i].get();
     ASSERT_TRUE(r.response.status.ok()) << r.response.status;
@@ -102,6 +98,7 @@ TEST(ServingBatch, KnnCoalescingMatchesScalar) {
     ASSERT_TRUE(scalar.ok());
     EXPECT_EQ(r.response.neighbors, *scalar) << "query " << i;
   }
+  EXPECT_LT(engine.counters().batches, queries.size());
   engine.Shutdown();
 }
 
@@ -109,7 +106,7 @@ TEST(ServingAdmission, QueueFullRejectsWithResourceExhausted) {
   ServingFixture fx(64);
   QueryEngineOptions opts;
   opts.queue_capacity = 4;
-  QueryEngine engine(fx.Indexes(), opts);
+  QueryEngine engine(&fx.linear, opts);
   // Not started yet: the queue can only fill.
   std::vector<std::future<ServeResult>> futures;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -130,60 +127,9 @@ TEST(ServingAdmission, QueueFullRejectsWithResourceExhausted) {
   engine.Shutdown();
 }
 
-TEST(ServingAdmission, LatencyBudgetShedsUnderBacklog) {
-  ServingFixture fx(64);
-  QueryEngineOptions opts;
-  opts.latency_budget = std::chrono::microseconds(1000);
-  QueryEngine engine(fx.Indexes(), opts);
-  // One queued request (shedding requires a non-empty queue: an idle
-  // engine with a stale EWMA must not refuse work).
-  auto first = engine.Submit(QueryRequest::Range(fx.codes[0], 2));
-  ASSERT_TRUE(first.ok());
-  engine.SetQueueWaitEwmaForTest(50000.0);  // 50 ms >> 1 ms budget
-  auto shed = engine.Submit(QueryRequest::Range(fx.codes[1], 2));
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsResourceExhausted());
-  EXPECT_EQ(engine.counters().rejected_latency, 1u);
-
-  ASSERT_TRUE(engine.Start().ok());
-  EXPECT_TRUE(first->get().response.status.ok());
-  engine.Shutdown();
-}
-
-TEST(ServingDeadline, QueuedExpiryCompletesWithDeadlineExceeded) {
-  ServingFixture fx(64);
-  QueryEngine engine(fx.Indexes(), QueryEngineOptions{});
-  const auto past = std::chrono::steady_clock::now() -
-                    std::chrono::milliseconds(5);
-  auto got = engine.Submit(QueryRequest::Range(fx.codes[0], 2),
-                           /*index_id=*/0, past);
-  ASSERT_TRUE(got.ok());  // admission accepts; expiry happens in service
-  ASSERT_TRUE(engine.Start().ok());
-  ServeResult r = got->get();
-  EXPECT_TRUE(r.response.status.IsDeadlineExceeded()) << r.response.status;
-  EXPECT_TRUE(r.response.ids.empty());
-  EXPECT_EQ(engine.counters().deadline_expired, 1u);
-  engine.Shutdown();
-}
-
-TEST(ServingDeadline, GenerousDeadlineServesNormally) {
-  ServingFixture fx(64);
-  QueryEngine engine(fx.Indexes(), QueryEngineOptions{});
-  ASSERT_TRUE(engine.Start().ok());
-  auto got = engine.Serve(QueryRequest::Range(fx.codes[3], 2), /*index_id=*/0,
-                          /*timeout=*/std::chrono::microseconds(10'000'000));
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->response.status.ok());
-  EXPECT_GE(got->batch_size, 1u);
-  // Queue wait is stamped into the per-query stats.
-  EXPECT_EQ(got->response.stats.serving_queue_nanos,
-            static_cast<uint64_t>(got->queue_wait.count()));
-  engine.Shutdown();
-}
-
 TEST(ServingShutdown, DrainsQueuedRequestsThenRejects) {
   ServingFixture fx(64);
-  QueryEngine engine(fx.Indexes(), QueryEngineOptions{});
+  QueryEngine engine(&fx.linear, QueryEngineOptions{});
   std::vector<std::future<ServeResult>> futures;
   for (std::size_t i = 0; i < 8; ++i) {
     auto got = engine.Submit(QueryRequest::Range(fx.codes[i], 2));
@@ -202,7 +148,7 @@ TEST(ServingShutdown, DrainsQueuedRequestsThenRejects) {
 
 TEST(ServingShutdown, NeverStartedFailsPendingFutures) {
   ServingFixture fx(64);
-  auto engine = std::make_unique<QueryEngine>(fx.Indexes(),
+  auto engine = std::make_unique<QueryEngine>(&fx.linear,
                                               QueryEngineOptions{});
   auto got = engine->Submit(QueryRequest::Range(fx.codes[0], 2));
   ASSERT_TRUE(got.ok());
@@ -212,42 +158,34 @@ TEST(ServingShutdown, NeverStartedFailsPendingFutures) {
 
 // Regression: with max_batch = 0 no worker could ever take a request,
 // so Start returned OK, no future completed and Shutdown never returned.
-// Start must refuse such options (and an EWMA weight outside (0, 1])
-// without starting a worker. Every wait is bounded, so a regression fails
-// instead of hanging.
+// Start must refuse such options without starting a worker. Every wait
+// is bounded, so a regression fails instead of hanging.
 TEST(ServingShutdown, StartRefusesOptionsNoWorkerCanServe) {
   ServingFixture fx(64);
   QueryEngineOptions zero_batch;
   zero_batch.max_batch = 0;
-  QueryEngineOptions zero_alpha;
-  zero_alpha.ewma_alpha = 0.0;
-  QueryEngineOptions big_alpha;
-  big_alpha.ewma_alpha = 1.5;
-  for (const QueryEngineOptions& opts : {zero_batch, zero_alpha, big_alpha}) {
-    auto engine = std::make_unique<QueryEngine>(fx.Indexes(), opts);
-    auto got = engine->Submit(QueryRequest::Range(fx.codes[0], 2));
-    ASSERT_TRUE(got.ok());
-    const Status started = engine->Start();
-    EXPECT_TRUE(started.IsInvalidArgument()) << started;
-    if (started.ok()) {
-      EXPECT_EQ(got->wait_for(std::chrono::seconds(2)),
-                std::future_status::ready);
-      // Workers that may never drain the queue would hang Shutdown (and
-      // the destructor): leave this engine running instead.
-      (void)engine.release();
-      continue;
-    }
-    engine->Shutdown();
-    ASSERT_EQ(got->wait_for(std::chrono::seconds(10)),
+  auto refused = std::make_unique<QueryEngine>(&fx.linear, zero_batch);
+  auto queued = refused->Submit(QueryRequest::Range(fx.codes[0], 2));
+  ASSERT_TRUE(queued.ok());
+  const Status started = refused->Start();
+  EXPECT_TRUE(started.IsInvalidArgument()) << started;
+  if (started.ok()) {
+    EXPECT_EQ(queued->wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    // Workers that may never drain the queue would hang Shutdown (and
+    // the destructor): leave this engine running instead.
+    (void)refused.release();
+  } else {
+    refused->Shutdown();
+    ASSERT_EQ(queued->wait_for(std::chrono::seconds(10)),
               std::future_status::ready)
         << "request never completed";
-    EXPECT_TRUE(got->get().response.status.IsResourceExhausted());
+    EXPECT_TRUE(queued->get().response.status.IsResourceExhausted());
   }
-  // The boundary values are accepted.
+  // The boundary value is accepted.
   QueryEngineOptions edge;
   edge.max_batch = 1;
-  edge.ewma_alpha = 1.0;
-  QueryEngine engine(fx.Indexes(), edge);
+  QueryEngine engine(&fx.linear, edge);
   ASSERT_TRUE(engine.Start().ok());
   auto got = engine.Submit(QueryRequest::Range(fx.codes[0], 2));
   ASSERT_TRUE(got.ok());
@@ -257,48 +195,10 @@ TEST(ServingShutdown, StartRefusesOptionsNoWorkerCanServe) {
   engine.Shutdown();
 }
 
-// Regression: the never-started shutdown drain used to relabel every
-// orphan kResourceExhausted, including requests whose deadline had
-// already expired — those must complete with kDeadlineExceeded exactly
-// as a worker drain would report them.
-TEST(ServingShutdown, NeverStartedExpiredDeadlineGetsDeadlineExceeded) {
-  ServingFixture fx(64);
-  auto engine = std::make_unique<QueryEngine>(fx.Indexes(),
-                                              QueryEngineOptions{});
-  const auto past =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
-  auto expired = engine->Submit(QueryRequest::Range(fx.codes[0], 2),
-                                /*index_id=*/0, past);
-  ASSERT_TRUE(expired.ok());  // admission accepts; expiry is a drain event
-  const auto far =
-      std::chrono::steady_clock::now() + std::chrono::hours(1);
-  auto fresh = engine->Submit(QueryRequest::Range(fx.codes[1], 2),
-                              /*index_id=*/0, far);
-  ASSERT_TRUE(fresh.ok());
-  engine->Shutdown();
-  ServeResult r_expired = expired->get();
-  EXPECT_TRUE(r_expired.response.status.IsDeadlineExceeded())
-      << r_expired.response.status;
-  EXPECT_TRUE(r_expired.response.ids.empty());
-  ServeResult r_fresh = fresh->get();
-  EXPECT_TRUE(r_fresh.response.status.IsResourceExhausted())
-      << r_fresh.response.status;
-  EXPECT_EQ(engine->counters().deadline_expired, 1u);
-}
-
-TEST(ServingAdmission, BadIndexIdRejected) {
-  ServingFixture fx(64);
-  QueryEngine engine(fx.Indexes(), QueryEngineOptions{});
-  auto got = engine.Submit(QueryRequest::Range(fx.codes[0], 2),
-                           /*index_id=*/99);
-  ASSERT_FALSE(got.ok());
-  EXPECT_TRUE(got.status().IsInvalidArgument());
-}
-
-// The TSan centerpiece: many client threads, mixed kinds, both shared
-// indexes, deadlines sprinkled in, plus a metrics registry recording
-// concurrently — every completed range response is verified against a
-// concurrent batch of one on the same shared index.
+// The TSan centerpiece: many client threads, mixed kinds, one shared
+// index, plus a metrics registry recording concurrently — every
+// completed range response is verified against a concurrent batch of
+// one on the same shared index.
 TEST(ServingStress, MixedLoadOverSharedIndexes) {
   ServingFixture fx(600);
   obs::MetricsRegistry metrics;
@@ -306,14 +206,13 @@ TEST(ServingStress, MixedLoadOverSharedIndexes) {
   opts.num_workers = 4;
   opts.max_batch = 8;
   opts.queue_capacity = 4096;
-  opts.batch_linger = std::chrono::microseconds(200);
   opts.metrics = &metrics;
-  QueryEngine engine(fx.Indexes(), opts);
+  QueryEngine engine(&fx.linear, opts);
   ASSERT_TRUE(engine.Start().ok());
 
   constexpr std::size_t kClients = 8;
   constexpr std::size_t kPerClient = 60;
-  std::atomic<uint64_t> ok_count{0}, expired_count{0}, mismatch{0};
+  std::atomic<uint64_t> ok_count{0}, mismatch{0};
   {
     std::vector<Thread> clients;
     for (std::size_t c = 0; c < kClients; ++c) {
@@ -322,27 +221,15 @@ TEST(ServingStress, MixedLoadOverSharedIndexes) {
         for (std::size_t i = 0; i < kPerClient; ++i) {
           const auto& q = fx.codes[static_cast<std::size_t>(rng.UniformInt(
               0, static_cast<int64_t>(fx.codes.size()) - 1))];
-          const auto index_id =
-              static_cast<std::size_t>(rng.UniformInt(0, 1));
           const bool knn = rng.Bernoulli(0.3);
           QueryRequest req = knn ? QueryRequest::Knn(q, 5)
                                  : QueryRequest::Range(q, 3);
-          // ~1 in 8 requests carries a microscopic deadline that may
-          // expire either side of service.
-          const auto timeout = rng.Bernoulli(0.125)
-                                   ? std::chrono::microseconds(50)
-                                   : std::chrono::microseconds(0);
-          auto got = engine.Serve(std::move(req), index_id, timeout);
-          if (!got.ok()) continue;  // shed; acceptable under load
-          if (got->response.status.IsDeadlineExceeded()) {
-            ++expired_count;
-            continue;
-          }
+          auto got = engine.Serve(std::move(req));
+          if (!got.ok()) continue;  // queue full; acceptable under load
           if (!got->response.status.ok()) continue;
           ++ok_count;
           if (!knn) {
-            const HammingIndex* index = fx.Indexes()[index_id];
-            auto ref = testutil::Search(*index, q, 3);
+            auto ref = testutil::Search(fx.linear, q, 3);
             if (!ref.ok() || got->response.ids != *ref) ++mismatch;
           }
         }
@@ -355,11 +242,10 @@ TEST(ServingStress, MixedLoadOverSharedIndexes) {
   EXPECT_EQ(mismatch.load(), 0u);
   EXPECT_GT(ok_count.load(), 0u);
   ServingCounters c = engine.counters();
-  // Every accepted request either went through a batched index call or
-  // expired while still queued (in-service expiries are batched too).
-  EXPECT_GE(c.accepted, c.batched_queries);
-  EXPECT_EQ(c.accepted, kClients * kPerClient - c.rejected_latency -
-                            c.rejected_queue_full);
+  // Every accepted request went through a batched index call, and every
+  // attempt was either accepted or rejected at the door.
+  EXPECT_EQ(c.accepted, c.batched_queries);
+  EXPECT_EQ(c.accepted + c.rejected_queue_full, kClients * kPerClient);
   EXPECT_GE(c.batches, 1u);
   auto snap = metrics.Snapshot();
   EXPECT_GT(snap.counters.at("serving.accepted"), 0);
@@ -381,7 +267,6 @@ TEST(ServingStress, ServesConcurrentIndexUnderChurn) {
   QueryEngineOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  opts.batch_linger = std::chrono::microseconds(100);
   QueryEngine engine(&index, opts);
   ASSERT_TRUE(engine.Start().ok());
 
@@ -436,7 +321,7 @@ TEST(ServingLoadGen, ClosedLoopReportsSaneNumbers) {
   QueryEngineOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  QueryEngine engine(fx.Indexes(), opts);
+  QueryEngine engine(&fx.linear, opts);
   ASSERT_TRUE(engine.Start().ok());
   WorkloadOptions workload;
   workload.h = 3;
@@ -458,7 +343,7 @@ TEST(ServingLoadGen, OpenLoopPacesOfferedLoad) {
   QueryEngineOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  QueryEngine engine(fx.Indexes(), opts);
+  QueryEngine engine(&fx.linear, opts);
   ASSERT_TRUE(engine.Start().ok());
   WorkloadOptions workload;
   workload.h = 3;

@@ -41,6 +41,14 @@ TEST(StaticHAIndex, RejectsBadSegmentWidth) {
   EXPECT_FALSE(wide.Build(codes).ok());
 }
 
+TEST(StaticHAIndex, RejectsEmptyCode) {
+  // A zero-bit code (BinaryCode::FromString("") makes one) has no
+  // level-0 segment to group its row under.
+  StaticHAIndex index(StaticHAIndexOptions{8});
+  EXPECT_TRUE(index.Insert(0, BinaryCode()).IsInvalidArgument());
+  EXPECT_EQ(index.size(), 0u);
+}
+
 TEST(StaticHAIndex, RejectsDuplicateTupleId) {
   StaticHAIndex index(StaticHAIndexOptions{8});
   auto codes = RandomCodes(2, 32);

@@ -31,14 +31,11 @@ TEST(Status, AllFactoriesMapToPredicates) {
   EXPECT_TRUE(Status::IOError("x").IsIOError());
   EXPECT_TRUE(Status::ExecutionError("x").IsExecutionError());
   EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
-  EXPECT_TRUE(Status::DeadlineExceeded("x").IsDeadlineExceeded());
 }
 
 TEST(Status, ServingCodesRenderTheirNames) {
   EXPECT_EQ(Status::ResourceExhausted("queue full").ToString(),
             "ResourceExhausted: queue full");
-  EXPECT_EQ(Status::DeadlineExceeded("too slow").ToString(),
-            "DeadlineExceeded: too slow");
 }
 
 TEST(Status, CopyAndMoveSemantics) {
