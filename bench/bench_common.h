@@ -139,11 +139,40 @@ inline double MeasureUpdateMillis(HammingIndex* index,
   return watch.ElapsedMillis() / static_cast<double>(rounds);
 }
 
+/// \brief The commit the source checkout this binary was built from is
+/// at, read when the bench runs (a value fixed at configure time would
+/// go stale after the next commit); "unknown" when git or the checkout
+/// is missing.
+inline std::string GitSha() {
+  // The directory goes in single quotes; a quote inside it closes,
+  // escapes and reopens them.
+  std::string cmd = "git -C '";
+  for (char c : std::string(HAMMING_SOURCE_DIR)) {
+    if (c == '\'') {
+      cmd += "'\\''";
+    } else {
+      cmd += c;
+    }
+  }
+  cmd += "' rev-parse HEAD 2>/dev/null";
+  std::string sha;
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
+    if (pclose(pipe) != 0) sha.clear();
+  }
+  if (!sha.empty() && sha.back() == '\n') sha.pop_back();
+  const bool hex = !sha.empty() && sha.find_first_not_of(
+                                       "0123456789abcdef") == std::string::npos;
+  return hex ? sha : "unknown";
+}
+
 /// \brief The host a bench ran on, as one JSON object: cores, CPU model,
 /// the kernel tier the batched routines run on, which tiers this binary
-/// compiled in and can run on this CPU, compiler and build type. Every
-/// BENCH_*.json carries it as "host", so a number is never read without
-/// the machine behind it.
+/// compiled in and can run on this CPU, compiler, build type and the
+/// source checkout's git sha. Every BENCH_*.json carries it as "host",
+/// so a number is never read without the machine and the code behind
+/// it.
 inline std::string HostJson() {
   std::string cpu = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -185,6 +214,8 @@ inline std::string HostJson() {
   w.String(__VERSION__);
   w.Key("build_type");
   w.String(HAMMING_BUILD_TYPE);
+  w.Key("git_sha");
+  w.String(GitSha());
   w.EndObject();
   return w.Release();
 }

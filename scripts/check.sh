@@ -28,7 +28,7 @@
 # (bench/bench_serving --smoke: closed- and open-loop over batched and
 # unbatched engine configs) and validates the JSON artifact: it must
 # carry the host block every bench writes (cores, CPU model, kernel tier,
-# compiler, build type), every latency row must carry ordered
+# compiler, build type, git sha), every latency row must carry ordered
 # p50/p99/p999, each config must report a positive max-sustainable rate,
 # and the batched/unbatched speedup summary must be present. Every
 # closed-loop, open-loop and churn row must account for each request it
@@ -154,7 +154,8 @@ with open(sys.argv[1]) as f:
     report = json.load(f)
 host = report.get("host")
 assert host, "serving report has no host block"
-for field in ("cores", "cpu_model", "kernel_tier", "compiler", "build_type"):
+for field in ("cores", "cpu_model", "kernel_tier", "compiler", "build_type",
+              "git_sha"):
     assert field in host, f"host block missing {field!r}: {host}"
 assert host["cores"] > 0, f"host block reports no cores: {host}"
 rows = report["rows"]

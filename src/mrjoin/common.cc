@@ -1,10 +1,26 @@
 #include "mrjoin/common.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <limits>
+#include <type_traits>
 
 #include "observability/query_stats.h"
 
 namespace hamming::mrjoin {
+
+// Vector records and pair blocks move as one block copy of the native
+// arrays, which is the little-endian wire format only on a little-endian
+// host with IEEE-754 doubles and a padding-free JoinPair. Any other host
+// fails to compile here rather than write different bytes.
+static_assert(std::endian::native == std::endian::little,
+              "record codecs copy native little-endian arrays");
+static_assert(sizeof(double) == 8 && std::numeric_limits<double>::is_iec559,
+              "vector records carry IEEE-754 doubles");
+static_assert(sizeof(JoinPair) == 8 && offsetof(JoinPair, s) == 4 &&
+                  std::is_trivially_copyable_v<JoinPair>,
+              "a pair block is a JoinPair array");
 
 mr::ExecutionOptions PlanJobOptions(const MRJoinOptions& opts,
                                     mr::PartitionFn partition_fn) {
@@ -46,7 +62,7 @@ std::vector<uint8_t> EncodeVector(Table table, TupleId id,
   w.PutVarint64(static_cast<uint64_t>(table));
   w.PutVarint64(id);
   w.PutVarint64(vec.size());
-  for (double v : vec) w.PutDouble(v);
+  w.PutRaw(vec.data(), 8 * vec.size());
   return w.Release();
 }
 
@@ -86,7 +102,7 @@ Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes) {
     return Status::IOError("vector record shorter than its element count");
   }
   t.vec.resize(n);
-  for (double& v : t.vec) HAMMING_RETURN_NOT_OK(r.GetDouble(&v));
+  HAMMING_RETURN_NOT_OK(r.GetRaw(t.vec.data(), 8 * n));
   if (!r.AtEnd()) return Status::IOError("trailing bytes in vector record");
   return t;
 }
@@ -94,10 +110,7 @@ Result<VectorTuple> DecodeVectorTuple(const std::vector<uint8_t>& bytes) {
 std::vector<uint8_t> EncodePairBlock(std::span<const JoinPair> pairs) {
   BufferWriter w;
   w.Reserve(8 * pairs.size());
-  for (const JoinPair& p : pairs) {
-    w.PutFixed32(p.r);
-    w.PutFixed32(p.s);
-  }
+  w.PutRaw(pairs.data(), 8 * pairs.size());
   return w.Release();
 }
 
@@ -106,11 +119,10 @@ Status DecodePairBlock(const std::vector<uint8_t>& block,
   if (block.size() % 8 != 0) {
     return Status::IOError("pair block length is not a multiple of 8");
   }
-  const uint8_t* p = block.data();
-  for (std::size_t i = 0; i < block.size(); i += 8) {
-    out->push_back({DecodeFixed32(p + i), DecodeFixed32(p + i + 4)});
-  }
-  return Status::OK();
+  const std::size_t at = out->size();
+  out->resize(at + block.size() / 8);
+  BufferReader r(block);
+  return r.GetRaw(out->data() + at, block.size());
 }
 
 std::vector<uint8_t> PartitionKey(uint32_t partition) {
@@ -138,6 +150,33 @@ std::vector<mr::Record> MatrixToRecords(const FloatMatrix& data,
   return out;
 }
 
+Result<CodeGroups> GroupByCode(
+    const std::vector<std::vector<uint8_t>>& values) {
+  CodeGroups groups;
+  std::vector<CodeTuple>& tuples = groups.tuples;
+  tuples.reserve(values.size());
+  for (const auto& v : values) {
+    HAMMING_ASSIGN_OR_RETURN(CodeTuple t, DecodeCodeTuple(v));
+    tuples.push_back(std::move(t));
+  }
+  // Stable, so ties keep record order. Length first keeps the order
+  // strict even over a malformed group that mixes code lengths.
+  std::stable_sort(tuples.begin(), tuples.end(),
+                   [](const CodeTuple& a, const CodeTuple& b) {
+                     if (a.code.size() != b.code.size()) {
+                       return a.code.size() < b.code.size();
+                     }
+                     return a.code < b.code;
+                   });
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    if (i == 0 || tuples[i].code != tuples[i - 1].code) {
+      groups.starts.push_back(i);
+    }
+  }
+  groups.starts.push_back(tuples.size());
+  return groups;
+}
+
 mr::ReduceFn ProbeReducer(const HammingIndex& index, std::size_t h,
                           obs::MetricsRegistry* metrics) {
   const obs::QueryStatsHistograms hists =
@@ -146,24 +185,20 @@ mr::ReduceFn ProbeReducer(const HammingIndex& index, std::size_t h,
              const std::vector<uint8_t>&,
              const std::vector<std::vector<uint8_t>>& values,
              mr::Emitter* out) -> Status {
-    // Each response still carries its own per-query work counters, so
-    // the histograms get one sample per probe.
+    HAMMING_ASSIGN_OR_RETURN(CodeGroups groups, GroupByCode(values));
+    // One search per distinct code. Each response carries that search's
+    // own work counters, so the histograms get one sample per search.
     constexpr std::size_t kProbeBatch = 64;
-    std::vector<TupleId> s_ids;
+    const std::size_t num_codes = groups.num_codes();
     std::vector<QueryRequest> reqs;
     std::vector<QueryResponse> resps;
     std::vector<JoinPair> block;
-    s_ids.reserve(kProbeBatch);
     reqs.reserve(kProbeBatch);
-    for (std::size_t begin = 0; begin < values.size(); begin += kProbeBatch) {
-      const std::size_t count = std::min(kProbeBatch, values.size() - begin);
-      s_ids.clear();
+    for (std::size_t begin = 0; begin < num_codes; begin += kProbeBatch) {
+      const std::size_t count = std::min(kProbeBatch, num_codes - begin);
       reqs.clear();
       for (std::size_t i = 0; i < count; ++i) {
-        HAMMING_ASSIGN_OR_RETURN(CodeTuple t,
-                                 DecodeCodeTuple(values[begin + i]));
-        s_ids.push_back(t.id);
-        reqs.push_back(QueryRequest::Range(std::move(t.code), h));
+        reqs.push_back(QueryRequest::Range(groups.code(begin + i), h));
       }
       resps.resize(count);
       HAMMING_RETURN_NOT_OK(index.SearchBatch(reqs, resps));
@@ -171,7 +206,9 @@ mr::ReduceFn ProbeReducer(const HammingIndex& index, std::size_t h,
       for (std::size_t i = 0; i < count; ++i) {
         HAMMING_RETURN_NOT_OK(resps[i].status);
         if (metrics != nullptr) hists.Observe(metrics, resps[i].stats);
-        for (TupleId r : resps[i].ids) block.push_back({r, s_ids[i]});
+        for (const CodeTuple& s : groups.TuplesOf(begin + i)) {
+          for (TupleId r : resps[i].ids) block.push_back({r, s.id});
+        }
       }
       if (!block.empty()) out->Emit({}, EncodePairBlock(block));
     }

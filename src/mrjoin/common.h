@@ -111,12 +111,41 @@ Result<uint32_t> DecodePartitionKey(const std::vector<uint8_t>& key);
 /// straight from the matrix into an exactly sized value.
 std::vector<mr::Record> MatrixToRecords(const FloatMatrix& data, Table table);
 
-/// \brief The probe reducer MRHA Option A and PMH share. It decodes the
-/// group's code records, range-searches `index` at radius `h` in
-/// batches of 64 probes, observes each probe's QueryStats into the
-/// `query.*` histograms when `metrics` is set, and emits one pair block
-/// per batch that matched anything, pairs (r, s) in probe order.
-/// `index` must outlive every job the reducer runs in.
+/// \brief A key group's code records grouped by code, so a join reducer
+/// H-Searches each distinct code once: tuples that share a code get
+/// identical answers (the reason the HA-Index keeps them in one leaf).
+/// `tuples` holds the decoded records ordered by code, ties in record
+/// order, so the grouping is a function of the group's values alone and
+/// a re-executed attempt reproduces it. Distinct code k owns
+/// tuples[starts[k], starts[k + 1]).
+struct CodeGroups {
+  std::vector<CodeTuple> tuples;
+  std::vector<std::size_t> starts;  ///< one per distinct code, then size
+
+  std::size_t num_codes() const { return starts.size() - 1; }
+  const BinaryCode& code(std::size_t k) const {
+    return tuples[starts[k]].code;
+  }
+  std::span<const CodeTuple> TuplesOf(std::size_t k) const {
+    return std::span<const CodeTuple>(tuples).subspan(
+        starts[k], starts[k + 1] - starts[k]);
+  }
+};
+
+/// \brief Decodes a key group's code records and groups them by code;
+/// the first malformed record's IOError.
+Result<CodeGroups> GroupByCode(
+    const std::vector<std::vector<uint8_t>>& values);
+
+/// \brief The probe reducer MRHA Option A and PMH share. It groups the
+/// key group's code records by code (GroupByCode), range-searches
+/// `index` at radius `h` once per distinct code in batches of 64 codes,
+/// observes each search's QueryStats into the `query.*` histograms when
+/// `metrics` is set (one sample per search, not per tuple), and emits
+/// one pair block per batch that matched anything: for each code in
+/// the batch, (r, s) for every S tuple s of that code, so pairs come
+/// out grouped by code. `index` must outlive every job the reducer runs
+/// in.
 mr::ReduceFn ProbeReducer(const HammingIndex& index, std::size_t h,
                           obs::MetricsRegistry* metrics);
 

@@ -164,8 +164,9 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
     return Status::OK();
   };
 
-  // Per-probe H-Search work histograms ("query.candidates", ...) when the
-  // caller attached a metrics registry; each S tuple's search is one sample.
+  // Per-search H-Search work histograms ("query.candidates", ...) when the
+  // caller attached a metrics registry. Both options search each distinct
+  // S code of a reducer group once, and each search is one sample.
   obs::MetricsRegistry* metrics = opts.exec.metrics;
 
   if (opts.option == MrhaOption::kA) {
@@ -186,18 +187,26 @@ Result<MrhaResult> RunMrhaJoin(const FloatMatrix& r_data,
             const std::vector<uint8_t>&,
             const std::vector<std::vector<uint8_t>>& values,
             mr::Emitter* out) -> Status {
-      for (const auto& v : values) {
-        HAMMING_ASSIGN_OR_RETURN(CodeTuple t, DecodeCodeTuple(v));
+      HAMMING_ASSIGN_OR_RETURN(CodeGroups groups, GroupByCode(values));
+      std::vector<std::vector<uint8_t>> match_keys;
+      for (std::size_t k = 0; k < groups.num_codes(); ++k) {
         obs::QueryStats qstats;
         HAMMING_ASSIGN_OR_RETURN(
             std::vector<BinaryCode> matches,
-            index_ptr->SearchCodes(t.code, h,
+            index_ptr->SearchCodes(groups.code(k), h,
                                    metrics != nullptr ? &qstats : nullptr));
         if (metrics != nullptr) query_hists.Observe(metrics, qstats);
+        match_keys.clear();
         for (const BinaryCode& code : matches) {
           BufferWriter w;
           code.Serialize(&w);
-          out->Emit(w.Release(), EncodeCodeTuple(t));
+          match_keys.push_back(w.Release());
+        }
+        // One (qualifying code, S tuple) record per match for each tuple
+        // of this code: the records a per-tuple search would emit.
+        for (const CodeTuple& t : groups.TuplesOf(k)) {
+          const std::vector<uint8_t> value = EncodeCodeTuple(t);
+          for (const auto& key : match_keys) out->Emit(key, value);
         }
       }
       return Status::OK();

@@ -80,9 +80,9 @@ Result<PmhResult> RunPmhJoin(const FloatMatrix& r_data,
     out->Emit(PartitionKey(part), EncodeCodeTuple(ct));
     return Status::OK();
   };
-  // One group per reducer: probe the broadcast R index with every S
-  // tuple of this partition (per-probe search-work histograms when a
-  // metrics registry is attached).
+  // One group per reducer: probe the broadcast R index once per distinct
+  // S code of this partition (per-search work histograms when a metrics
+  // registry is attached).
   job.reduce_fn = ProbeReducer(r_index, opts.h, opts.exec.metrics);
   HAMMING_ASSIGN_OR_RETURN(mr::JobResult job_result, RunJob(job, cluster));
   plan_counters.Merge(job_result.counters);

@@ -3,12 +3,15 @@
 // plus the record codecs the plans share (tuple records, pair blocks).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "dataset/sampling.h"
 #include "hashing/spectral_hashing.h"
+#include "index/linear_scan.h"
 #include "knn/exact_knn.h"
 #include "mrjoin/mrha.h"
 #include "mrjoin/pgbj.h"
@@ -24,6 +27,13 @@ class MrJoinTest : public ::testing::Test {
                               {.num_clusters = 16, .seed = 1});
     s_data_ = GenerateDataset(DatasetKind::kNusWide, 400,
                               {.num_clusters = 16, .seed = 1});
+    // Every S row three times, so each reducer group holds several
+    // tuples per code.
+    std::vector<std::size_t> rows;
+    for (int copy = 0; copy < 3; ++copy) {
+      for (std::size_t i = 0; i < s_data_.rows(); ++i) rows.push_back(i);
+    }
+    s_tripled_ = s_data_.GatherRows(rows);
     cluster_ = std::make_unique<mr::Cluster>(
         mr::ClusterOptions{4, 2, 4});
   }
@@ -31,23 +41,24 @@ class MrJoinTest : public ::testing::Test {
   // Ground truth: hash with the same trained function a plan uses is not
   // observable from outside, so truth is computed per plan by re-running
   // the hash pipeline deterministically (same seed => same model).
-  std::vector<JoinPair> CentralizedTruth(std::size_t code_bits, std::size_t h,
+  std::vector<JoinPair> CentralizedTruth(const FloatMatrix& s_data,
+                                         std::size_t code_bits, std::size_t h,
                                          double sample_rate, uint64_t seed) {
     // Reproduce the MRHA preprocessing exactly.
     Rng rng(seed);
     std::size_t r_n = std::max<std::size_t>(
         2, static_cast<std::size_t>(sample_rate * r_data_.rows()));
     std::size_t s_n = std::max<std::size_t>(
-        2, static_cast<std::size_t>(sample_rate * s_data_.rows()));
+        2, static_cast<std::size_t>(sample_rate * s_data.rows()));
     auto r_ids = ReservoirSampleIndices(r_data_.rows(), r_n, &rng);
-    auto s_ids = ReservoirSampleIndices(s_data_.rows(), s_n, &rng);
+    auto s_ids = ReservoirSampleIndices(s_data.rows(), s_n, &rng);
     FloatMatrix sample(r_ids.size() + s_ids.size(), r_data_.cols());
     for (std::size_t i = 0; i < r_ids.size(); ++i) {
       auto src = r_data_.Row(r_ids[i]);
       std::copy(src.begin(), src.end(), sample.MutableRow(i).begin());
     }
     for (std::size_t i = 0; i < s_ids.size(); ++i) {
-      auto src = s_data_.Row(s_ids[i]);
+      auto src = s_data.Row(s_ids[i]);
       std::copy(src.begin(), src.end(),
                 sample.MutableRow(r_ids.size() + i).begin());
     }
@@ -55,7 +66,7 @@ class MrJoinTest : public ::testing::Test {
     opts.code_bits = code_bits;
     auto hash = SpectralHashing::Train(sample, opts).ValueOrDie();
     auto r_codes = hash->HashAll(r_data_);
-    auto s_codes = hash->HashAll(s_data_);
+    auto s_codes = hash->HashAll(s_data);
     auto pairs = NestedLoopsJoin(r_codes, s_codes, h);
     NormalizePairs(&pairs);
     return pairs;
@@ -63,6 +74,7 @@ class MrJoinTest : public ::testing::Test {
 
   FloatMatrix r_data_;
   FloatMatrix s_data_;
+  FloatMatrix s_tripled_;
   std::unique_ptr<mr::Cluster> cluster_;
 };
 
@@ -71,15 +83,18 @@ TEST_F(MrJoinTest, MrhaOptionAMatchesCentralizedJoin) {
   opts.num_partitions = 4;
   opts.h = 3;
   opts.option = MrhaOption::kA;
-  auto result = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
-  ASSERT_TRUE(result.ok()) << result.status();
-  auto pairs = result->pairs;
-  NormalizePairs(&pairs);
-  auto truth = CentralizedTruth(opts.code_bits, opts.h, opts.sample_rate,
-                                opts.seed);
-  EXPECT_EQ(pairs, truth);
-  EXPECT_GT(result->shuffle_bytes, 0);
-  EXPECT_GT(result->broadcast_bytes, 0);
+  for (const FloatMatrix* s_data : {&s_data_, &s_tripled_}) {
+    SCOPED_TRACE(s_data->rows());
+    auto result = RunMrhaJoin(r_data_, *s_data, opts, cluster_.get());
+    ASSERT_TRUE(result.ok()) << result.status();
+    auto pairs = result->pairs;
+    NormalizePairs(&pairs);
+    auto truth = CentralizedTruth(*s_data, opts.code_bits, opts.h,
+                                  opts.sample_rate, opts.seed);
+    EXPECT_EQ(pairs, truth);
+    EXPECT_GT(result->shuffle_bytes, 0);
+    EXPECT_GT(result->broadcast_bytes, 0);
+  }
 }
 
 TEST_F(MrJoinTest, MrhaOptionBMatchesCentralizedJoin) {
@@ -87,13 +102,16 @@ TEST_F(MrJoinTest, MrhaOptionBMatchesCentralizedJoin) {
   opts.num_partitions = 4;
   opts.h = 3;
   opts.option = MrhaOption::kB;
-  auto result = RunMrhaJoin(r_data_, s_data_, opts, cluster_.get());
-  ASSERT_TRUE(result.ok()) << result.status();
-  auto pairs = result->pairs;
-  NormalizePairs(&pairs);
-  auto truth = CentralizedTruth(opts.code_bits, opts.h, opts.sample_rate,
-                                opts.seed);
-  EXPECT_EQ(pairs, truth);
+  for (const FloatMatrix* s_data : {&s_data_, &s_tripled_}) {
+    SCOPED_TRACE(s_data->rows());
+    auto result = RunMrhaJoin(r_data_, *s_data, opts, cluster_.get());
+    ASSERT_TRUE(result.ok()) << result.status();
+    auto pairs = result->pairs;
+    NormalizePairs(&pairs);
+    auto truth = CentralizedTruth(*s_data, opts.code_bits, opts.h,
+                                  opts.sample_rate, opts.seed);
+    EXPECT_EQ(pairs, truth);
+  }
 }
 
 TEST_F(MrJoinTest, MrhaOptionBBroadcastsLessThanOptionA) {
@@ -184,8 +202,6 @@ TEST_F(MrJoinTest, PmhMatchesItsOwnCentralizedTruth) {
   PmhOptions opts;
   opts.num_partitions = 4;
   opts.h = 3;
-  auto result = RunPmhJoin(r_data_, s_data_, opts, cluster_.get());
-  ASSERT_TRUE(result.ok()) << result.status();
   // PMH trains on an R-only sample; rebuild the same model for truth.
   Rng rng(opts.seed);
   std::size_t n = std::max<std::size_t>(
@@ -195,12 +211,132 @@ TEST_F(MrJoinTest, PmhMatchesItsOwnCentralizedTruth) {
   SpectralHashingOptions hopts;
   hopts.code_bits = opts.code_bits;
   auto hash = SpectralHashing::Train(sample, hopts).ValueOrDie();
-  auto truth = NestedLoopsJoin(hash->HashAll(r_data_),
-                               hash->HashAll(s_data_), opts.h);
+  for (const FloatMatrix* s_data : {&s_data_, &s_tripled_}) {
+    SCOPED_TRACE(s_data->rows());
+    auto result = RunPmhJoin(r_data_, *s_data, opts, cluster_.get());
+    ASSERT_TRUE(result.ok()) << result.status();
+    auto truth = NestedLoopsJoin(hash->HashAll(r_data_),
+                                 hash->HashAll(*s_data), opts.h);
+    NormalizePairs(&truth);
+    auto pairs = result->pairs;
+    NormalizePairs(&pairs);
+    EXPECT_EQ(pairs, truth);
+  }
+}
+
+// Forwards to a LinearScanIndex and counts the range queries it answers.
+class CountingIndex final : public HammingIndex {
+ public:
+  std::string name() const override { return "counting"; }
+  Status Build(const std::vector<BinaryCode>& codes) override {
+    return inner_.Build(codes);
+  }
+  Status SearchBatch(std::span<const QueryRequest> requests,
+                     std::span<QueryResponse> responses) const override {
+    queries_ += requests.size();
+    return inner_.SearchBatch(requests, responses);
+  }
+  Status Insert(TupleId id, const BinaryCode& code) override {
+    return inner_.Insert(id, code);
+  }
+  Status Delete(TupleId id, const BinaryCode& code) override {
+    return inner_.Delete(id, code);
+  }
+  std::size_t size() const override { return inner_.size(); }
+  MemoryBreakdown Memory() const override { return inner_.Memory(); }
+
+  std::size_t queries() const { return queries_; }
+
+ private:
+  LinearScanIndex inner_;
+  mutable std::size_t queries_ = 0;
+};
+
+TEST(MrJoinProbeReducer, SearchesEachDistinctCodeOnce) {
+  constexpr std::size_t kH = 3;
+  constexpr std::size_t kCodes = 7;
+  Rng rng(11);
+  std::vector<BinaryCode> distinct;
+  for (std::size_t i = 0; i < kCodes; ++i) {
+    distinct.push_back(
+        BinaryCode::FromUint64(rng.NextWord() >> 32, 32).ValueOrDie());
+  }
+  // R: each distinct code with 0..5 random bit flips, so some R tuples
+  // qualify and some do not.
+  std::vector<BinaryCode> r_codes;
+  for (std::size_t i = 0; i < 70; ++i) {
+    BinaryCode c = distinct[i % kCodes];
+    for (int64_t f = rng.UniformInt(0, 5); f > 0; --f) {
+      c.FlipBit(static_cast<std::size_t>(rng.UniformInt(0, 31)));
+    }
+    r_codes.push_back(c);
+  }
+  CountingIndex index;
+  ASSERT_TRUE(index.Build(r_codes).ok());
+
+  // One key group of 200 S records interleaving the 7 codes.
+  std::vector<BinaryCode> s_codes;
+  std::vector<std::vector<uint8_t>> values;
+  for (TupleId s = 0; s < 200; ++s) {
+    s_codes.push_back(distinct[s % kCodes]);
+    values.push_back(EncodeCodeTuple({Table::kS, s, s_codes.back()}));
+  }
+  obs::MetricsRegistry registry;
+  mr::Emitter out;
+  ASSERT_TRUE(ProbeReducer(index, kH, &registry)({}, values, &out).ok());
+  EXPECT_EQ(index.queries(), kCodes);
+
+  // Per-tuple probing, checked against the nested-loops join.
+  LinearScanIndex scan;
+  ASSERT_TRUE(scan.Build(r_codes).ok());
+  std::vector<QueryRequest> reqs;
+  for (const BinaryCode& c : s_codes) {
+    reqs.push_back(QueryRequest::Range(c, kH));
+  }
+  std::vector<QueryResponse> resps(reqs.size());
+  ASSERT_TRUE(scan.SearchBatch(reqs, resps).ok());
+  std::vector<JoinPair> per_tuple;
+  for (TupleId s = 0; s < resps.size(); ++s) {
+    ASSERT_TRUE(resps[s].status.ok());
+    for (TupleId r : resps[s].ids) per_tuple.push_back({r, s});
+  }
+  NormalizePairs(&per_tuple);
+  auto truth = NestedLoopsJoin(r_codes, s_codes, kH);
   NormalizePairs(&truth);
-  auto pairs = result->pairs;
-  NormalizePairs(&pairs);
-  EXPECT_EQ(pairs, truth);
+  ASSERT_FALSE(truth.empty());
+  ASSERT_EQ(per_tuple, truth);
+
+  auto pairs = CollectJoinPairs({out.records()});
+  ASSERT_TRUE(pairs.ok()) << pairs.status();
+  NormalizePairs(&*pairs);
+  EXPECT_EQ(*pairs, per_tuple);
+
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_TRUE(snap.histograms.count("query.candidates"));
+  EXPECT_EQ(snap.histograms.at("query.candidates").count, kCodes);
+}
+
+TEST(MrJoinProbeReducer, GroupByCodeOrdersByCodeThenRecord) {
+  const BinaryCode a = BinaryCode::FromString("0011").ValueOrDie();
+  const BinaryCode b = BinaryCode::FromString("1100").ValueOrDie();
+  std::vector<std::vector<uint8_t>> values;
+  for (TupleId id : {5, 2, 9, 1}) {
+    values.push_back(EncodeCodeTuple({Table::kS, id, id % 2 ? b : a}));
+  }
+  auto groups = GroupByCode(values);
+  ASSERT_TRUE(groups.ok()) << groups.status();
+  ASSERT_EQ(groups->num_codes(), 2u);
+  EXPECT_EQ(groups->code(0), a);
+  EXPECT_EQ(groups->code(1), b);
+  std::vector<TupleId> ids;
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (const CodeTuple& t : groups->TuplesOf(k)) ids.push_back(t.id);
+  }
+  EXPECT_EQ(ids, (std::vector<TupleId>{2, 5, 9, 1}));
+
+  EXPECT_EQ(GroupByCode({})->num_codes(), 0u);
+  values.push_back({0x07});
+  EXPECT_TRUE(GroupByCode(values).status().IsIOError());
 }
 
 TEST_F(MrJoinTest, PgbjProducesExactKnnResults) {
@@ -279,6 +415,24 @@ TEST(MrJoinCodec, TupleRecordsKeepTheirWireFormat) {
   EXPECT_EQ(vec_bytes,
             (std::vector<uint8_t>{0x01, 0xac, 0x02, 0x01, 0x00, 0x00, 0x00,
                                   0x00, 0x00, 0x00, 0xf8, 0x3f}));
+  // Several elements, with -0.0 and the smallest subnormal: each is its
+  // IEEE-754 bit pattern, little-endian, in order.
+  const std::vector<uint8_t> multi_bytes = EncodeVectorTuple(
+      {Table::kR, 1,
+       {-0.0, std::numeric_limits<double>::denorm_min(), -2.0}});
+  EXPECT_EQ(multi_bytes,
+            (std::vector<uint8_t>{
+                0x00, 0x01, 0x03,                                // R, 1, 3
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 2^-1074
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0}));  // -2.0
+  auto multi = DecodeVectorTuple(multi_bytes);
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  ASSERT_EQ(multi->vec.size(), 3u);
+  EXPECT_TRUE(std::signbit(multi->vec[0]));
+  EXPECT_EQ(multi->vec[0], 0.0);
+  EXPECT_EQ(multi->vec[1], std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(multi->vec[2], -2.0);
   const std::vector<uint8_t> code_bytes = EncodeCodeTuple(
       {Table::kR, 300,
        BinaryCode::FromString("1010 0101 1111 0000").ValueOrDie()});
