@@ -3,9 +3,10 @@
 // scans, and H-Search across index implementations.
 //
 // The custom main() additionally times the batched kernels against the
-// scalar BinaryCode loop, the vertical scan alone and in shared batches,
-// and a map-heavy MapReduce job with and without a live metrics registry,
-// and writes the results, with the host they ran on, to BENCH_micro.json.
+// scalar BinaryCode loop, Spectral Hashing per row, the vertical scan
+// alone and in shared batches, and a map-heavy MapReduce job with and
+// without a live metrics registry, and writes the results, with the host
+// they ran on, to BENCH_micro.json.
 // Pass --json_only to skip the google-benchmark suite, --json_out=PATH to
 // redirect the file.
 #include <benchmark/benchmark.h>
@@ -13,12 +14,15 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <string>
 
 #include "bench_common.h"
 #include "code/gray.h"
 #include "common/rng.h"
 #include "common/sync.h"
+#include "dataset/generators.h"
+#include "hashing/spectral_hashing.h"
 #include "observability/stopwatch.h"
 #include "index/dynamic_ha_index.h"
 #include "index/hengine.h"
@@ -222,6 +226,47 @@ KernelRow MeasureKernel(std::size_t bits) {
       [&] {
         kernels::BatchDistance(query, store, dists.data());
         benchmark::DoNotOptimize(dists.data());
+      },
+      n);
+  return row;
+}
+
+struct HashingRow {
+  std::size_t dim = 0;
+  std::size_t bits = 0;
+  std::size_t rows = 0;
+  double train_s = 0;
+  double ns_per_row = 0;
+};
+
+// SpectralHashing::Hash, the per-record work of the MRHA and PMH map
+// phases, over generator rows: Flickr's at 512-d, NUS-WIDE's at 225-d and
+// cut to their first 64 coordinates (the repository benchmark's width).
+// The model trains on the first 500 rows.
+HashingRow MeasureHashing(std::size_t dim, std::size_t bits) {
+  const std::size_t n = 4096;
+  const FloatMatrix full = GenerateDataset(
+      dim > 225 ? DatasetKind::kFlickr : DatasetKind::kNusWide, n);
+  FloatMatrix data(n, dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < dim; ++k) data.At(i, k) = full.At(i, k);
+  }
+  std::vector<std::size_t> sample_ids(500);
+  std::iota(sample_ids.begin(), sample_ids.end(), 0);
+  SpectralHashingOptions opts;
+  opts.code_bits = bits;
+  HashingRow row{dim, bits, n, 0, 0};
+  obs::Stopwatch train;
+  auto model =
+      SpectralHashing::Train(data.GatherRows(sample_ids), opts).ValueOrDie();
+  row.train_s = train.ElapsedSeconds();
+  uint64_t sink = 0;
+  row.ns_per_row = TimeNsPerItem(
+      [&] {
+        for (std::size_t i = 0; i < n; ++i) {
+          sink += model->Hash(data.Row(i)).words()[0];
+        }
+        benchmark::DoNotOptimize(sink);
       },
       n);
   return row;
@@ -541,6 +586,24 @@ int EmitJson(const std::string& path) {
                  "%.2f ns/code (%.2fx)\n",
                  row.bits, row.scalar_ns_per_code, row.batched_ns_per_code,
                  speedup);
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"hashing\": [\n");
+  {
+    const std::size_t kDims[] = {64, 225, 512};
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t bits : {32, 64}) {
+        const HashingRow row = MeasureHashing(kDims[i], bits);
+        std::fprintf(f,
+                     "    {\"dim\": %zu, \"bits\": %zu, \"rows\": %zu, "
+                     "\"train_s\": %.3f, \"ns_per_row\": %.1f}%s\n",
+                     row.dim, row.bits, row.rows, row.train_s,
+                     row.ns_per_row, i + 1 < 3 || bits == 32 ? "," : "");
+        std::fprintf(stderr,
+                     "hashing %3zu-d %2zu-bit: %.1f ns/row (train %.2fs)\n",
+                     row.dim, row.bits, row.ns_per_row, row.train_s);
+      }
+    }
   }
   std::fprintf(f, "  ],\n");
   // Vertical (bit-plane) vs horizontal threshold scans. The acceptance

@@ -8,9 +8,10 @@
 //     reads, varint overflow (> 10 bytes / bit 63) and overlong
 //     encodings are the interesting paths.
 //  2. Record codecs: the whole input is decoded as a vector record, a
-//     code record and a pair block. Each must return a Status (a lying
-//     element count must not allocate), and whatever decodes must
-//     encode back to the same record.
+//     code record, a pair block and a Spectral Hashing model. Each must
+//     return a Status (a lying element count must not allocate), whatever
+//     record decodes must encode back to the same record, and a model
+//     that decodes must hash a row of its input_dim() values.
 //  3. Round-trip: the input also picks a sequence of typed values that
 //     are written with BufferWriter (with fuzz-chosen Reserve calls in
 //     between) and read back; any mismatch traps.
@@ -20,6 +21,7 @@
 
 #include "common/serde.h"
 #include "fuzz_targets.h"
+#include "hashing/spectral_hashing.h"
 #include "mrjoin/common.h"
 
 namespace hamming_fuzz {
@@ -104,6 +106,12 @@ void RecordCodecPhase(const uint8_t* data, std::size_t size) {
   const Status s = mrjoin::DecodePairBlock(bytes, &pairs);
   HAMMING_FUZZ_CHECK(s.ok() == (size % 8 == 0));
   if (s.ok()) HAMMING_FUZZ_CHECK(mrjoin::EncodePairBlock(pairs) == bytes);
+  BufferReader model_reader(data, size);
+  auto model = hamming::SpectralHashing::Deserialize(&model_reader);
+  if (model.ok()) {
+    const std::vector<double> row((*model)->input_dim(), 0.5);
+    HAMMING_FUZZ_CHECK((*model)->Hash(row).size() == (*model)->code_bits());
+  }
 }
 
 void RoundTripPhase(const uint8_t* data, std::size_t size) {

@@ -15,7 +15,8 @@ namespace hamming_fuzz {
 
 /// Drives common/serde.h: decodes the input as an op stream against a
 /// BufferReader (bounds/overflow paths), decodes it as a vector record,
-/// a code record and a pair block (mrjoin/common.h), and round-trips
+/// a code record and a pair block (mrjoin/common.h) and as a Spectral
+/// Hashing model that must then hash a row, and round-trips
 /// fuzz-chosen values through BufferWriter -> BufferReader, trapping on
 /// mismatch.
 void RunSerdeFuzzInput(const uint8_t* data, std::size_t size);

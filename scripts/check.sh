@@ -8,7 +8,9 @@
 # whose default loops write into reused responses and whose snapshot
 # plan compacts ids and distances in place, and so do Serde.* and
 # MrJoin*, for the presized fixed-width writes, the pair-block
-# encode/decode and the hostile-record decoder checks), plus the MapReduce
+# encode/decode and the hostile-record decoder checks, and so does
+# SpectralHashing.*, whose Hash kernel indexes stack accumulators by
+# num_pcs and dir_ and casts a double to an integer), plus the MapReduce
 # attempt/speculation layer under ThreadSanitizer (backup attempts,
 # cancel tokens, and the commit race are cross-thread protocols).
 #
@@ -246,7 +248,7 @@ else
     >/dev/null
   cmake --build build-asan -j "$(nproc)" --target hamming_tests
   ./build-asan/tests/hamming_tests \
-    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*:BatchApi.*:IndexKnn.*:ConcurrentIndex*:Serde.*:MrJoin*'
+    --gtest_filter='CodeStore.*:CodeSet.*:VerticalStore.*:Kernels.*:LocalCounters.*:FuzzCorpus.*:StorageTest.SpillFuzz*:StorageTest.*Deserialize*:DynamicHAAudit.*:DynamicHAIndex.*:Widths/DynamicHAWidthTest.*:BatchApi.*:IndexKnn.*:ConcurrentIndex*:Serde.*:MrJoin*:SpectralHashing.*'
   echo "==> ASan: MapReduce + external shuffle under a 64 KiB budget"
   HAMMING_SHUFFLE_BUDGET=65536 ./build-asan/tests/hamming_tests \
     --gtest_filter='MapReduce*:FaultTolerance*:PlanFaultTolerance*:Shuffle*'

@@ -7,7 +7,9 @@
 // Training: PCA of a sample, a uniform-distribution fit on each principal
 // direction, and selection of the L analytical Laplacian eigenfunctions
 // with the smallest frequencies. Hashing: project, evaluate the selected
-// sinusoidal eigenfunctions, threshold at zero.
+// sinusoidal eigenfunctions, threshold at zero. Hash is the map phases'
+// per-record kernel; DESIGN.md §4.17 gives the argument that its codes are
+// the same bits as the textbook formula's.
 #pragma once
 
 #include <memory>
@@ -52,21 +54,40 @@ class SpectralHashing {
   /// \brief Serializes the trained model (for the MapReduce distributed
   /// cache and table persistence).
   void Serialize(BufferWriter* w) const;
+  /// \brief Reads a model Serialize wrote. Returns IOError for a model
+  /// Hash could not run: code_bits outside [1, BinaryCode::kMaxBits], a
+  /// zero dim, num_pcs != min(code_bits, dim), counts longer than the
+  /// buffer, or an eigenfunction on a direction past num_pcs.
   static Result<std::unique_ptr<SpectralHashing>> Deserialize(BufferReader* r);
 
  private:
   SpectralHashing() = default;
 
+  /// Writes the num_pcs_ centered projections of `vec` to out[0, num_pcs_),
+  /// each summed in coordinate order.
+  void Project(std::span<const double> vec, double* out) const;
+
   std::size_t code_bits_ = 0;
   std::size_t dim_ = 0;
   std::size_t num_pcs_ = 0;          // principal directions kept
   std::vector<double> mean_;          // centering vector, size dim_
-  std::vector<double> projections_;   // num_pcs_ x dim_, row-major
+  // dim_ x num_pcs_, row-major: coordinate k of direction j is at
+  // [k * num_pcs_ + j], so one pass over a row feeds every direction. The
+  // wire format keeps the num_pcs_ x dim_ order.
+  std::vector<double> projections_;
   std::vector<double> mn_;            // per-direction range minimum
   std::vector<double> range_;         // per-direction range width
   // Selected eigenfunctions: bit b uses direction dir_[b], mode mode_[b].
   std::vector<uint32_t> dir_;
   std::vector<uint32_t> mode_;
 };
+
+namespace detail {
+/// \brief std::sin(a) >= 0.0, decided by an exact reduction modulo pi for
+/// |a| < 2^20 and by std::sin beyond that or for NaN and infinities.
+/// Hash's per-bit test; declared here so tests can compare it with
+/// std::sin.
+bool SinNonNegative(double a);
+}  // namespace detail
 
 }  // namespace hamming

@@ -161,6 +161,30 @@ TEST_F(StorageTest, TableRoundTripCodesOnly) {
   EXPECT_FALSE(back.has_features());
 }
 
+TEST_F(StorageTest, LoadTableDeserializeRejectsUnrunnableHashModel) {
+  // Tables whose hash model Hash cannot run: a direction past num_pcs
+  // (Hash would index past its projections) and 2^40 code bits (sized
+  // straight from the header). Loading must fail, not crash.
+  for (const uint64_t bits : {uint64_t{2}, uint64_t{1} << 40}) {
+    BufferWriter w;
+    w.PutVarint64(0);  // no features
+    w.PutVarint64(0);  // no codes
+    w.PutVarint64(1);  // a hash model: bits, dim, num_pcs
+    w.PutVarint64(bits);
+    w.PutVarint64(2);
+    w.PutVarint64(2);
+    for (int i = 0; i < 2 + 2 * 2 + 2 + 2; ++i) w.PutDouble(1.0);
+    w.PutVarint64(0);  // dir_
+    w.PutVarint64(0xFFFFFFFFu);
+    w.PutVarint64(1);  // mode_
+    w.PutVarint64(1);
+    auto path = Path("bad-hash-table");
+    ASSERT_TRUE(
+        WriteContainer(path, PayloadKind::kHammingTable, w.buffer()).ok());
+    EXPECT_TRUE(LoadTable(path).status().IsIOError()) << bits;
+  }
+}
+
 // Every payload Deserialize accepts must be safe to traverse and pass the
 // index's own invariant audit. Returns whether the payload loaded.
 bool LoadAndTraverse(const std::vector<uint8_t>& bytes) {
